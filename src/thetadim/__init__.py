@@ -18,8 +18,8 @@ from .schur import (identity_52_check, identity_53_check, identity_54_check,
                     j_alternant, rho, s_omega, schur_at, schur_brute, sin_sq,
                     vandermonde, weyl_denominator)
 from .verlinde import (EvaluationError, VerifyReport, VerlindeQuery,
-                       VerlindeResult, clear_memo, closed_formula_exact,
-                       closed_formula_float, closed_term, dimension,
-                       genus_recurrence_rhs, hecke_image, query,
-                       split_recurrence_rhs, v_vectors, verify,
-                       wprime_recurrence_rhs)
+                       VerlindeResult, clear_memo, closed_formula_cyclotomic,
+                       closed_formula_exact, closed_formula_float,
+                       closed_term, dimension, genus_recurrence_rhs,
+                       hecke_image, query, split_recurrence_rhs, v_vectors,
+                       verify, wprime_recurrence_rhs)

@@ -187,16 +187,37 @@ def _cache_path(cache_dir: str, q: VerlindeQuery, backend: str) -> str:
     return os.path.join(cache_dir, digest[:2], digest + ".json")
 
 
+def _record_digest(record: dict) -> str:
+    return hashlib.sha256(
+        json.dumps(record, sort_keys=True).encode()).hexdigest()
+
+
 def cache_get(cache_dir: str, q: VerlindeQuery, backend: str):
+    """The cached record for the query, or None when there is none or it is
+    stale, incomplete, malformed or does not match its digest."""
     path = _cache_path(cache_dir, q, backend)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except (OSError, json.JSONDecodeError):
         return None
+    if not isinstance(data, dict):
+        return None
+    digest = data.pop("digest", None)
+    if digest != _record_digest(data):
+        return None
     if data.get("version") != __version__:
         return None
     if data.get("query_key") != q.canonical_key():
+        return None
+    value = data.get("value")
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        return None
+    if not isinstance(data.get("ell_integral"), bool) \
+            or not isinstance(data.get("exceptional_case"), bool):
+        return None
+    residual = data.get("float_residual")
+    if residual is not None and not isinstance(residual, float):
         return None
     return data
 
@@ -208,6 +229,7 @@ def cache_put(cache_dir: str, q: VerlindeQuery, backend: str, payload: dict):
     record["version"] = __version__
     record["query_key"] = q.canonical_key()
     record["backend"] = backend
+    record["digest"] = _record_digest(record)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -471,7 +493,11 @@ def cmd_enumerate(args) -> int:
     elif args.set == "wkprime":
         elems = list(enumerate_Wk_prime(r, k, args.offset))
     elif args.set == "qk":
-        n1 = Fraction(args.n1)
+        try:
+            n1 = Fraction(args.n1)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DocumentError(
+                [f"--n1: expected a fraction, got {args.n1!r}"]) from exc
         ctx = SplitContext(args.g1, 1, (), (), 1, 1, 0, n1, Fraction(0),
                            r, k, n1 + r * args.g1)
         elems = list(enumerate_Qk(r, k, ctx))
@@ -616,6 +642,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except (EvaluationError, NotRationalError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # any other failure is internal, never a residual
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -12,7 +12,7 @@ residuals.
 from __future__ import annotations
 
 import functools
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .cyclotomic import CycNum, root_power
 from .weights import lambda_of_point, mu_star, enumerate_Pk, enumerate_Wk
@@ -38,6 +38,12 @@ def check_v(v, r: int, k: int) -> tuple[int, ...]:
     if v[0] >= r + k:
         raise ValueError("summation vector entries must stay below r + k")
     return v
+
+
+def v_vectors(r: int, k: int):
+    """Strictly decreasing vectors (v_1, ..., v_(r-1), 0) with v_1 < r + k."""
+    for combo in combinations(range(1, r + k), r - 1):
+        yield tuple(sorted(combo, reverse=True)) + (0,)
 
 
 def _perm_sign(perm) -> int:

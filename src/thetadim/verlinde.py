@@ -1,10 +1,13 @@
 """The closed dimension formula and its recurrence cross-checks.
 
-The exact backend sums, over strictly decreasing summation vectors v ending
-in 0, a twist times a product of Schur values divided by a Weyl-type sine
+The closed sum runs over strictly decreasing summation vectors v ending in
+0: a twist times a product of Schur values divided by a Weyl-type sine
 product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
-The float backend mirrors the same sum in double precision and rounds.
+The exact backend evaluates it modulo primes and rebuilds the integer
+(`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept as its
+oracle.  The float backend mirrors the same sum in double precision, bounds
+its rounding error and rounds.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant rewrites each factor through Hecke moves so the
@@ -20,20 +23,17 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import permutations
 
 from .cyclotomic import CycNum, root_power
-from .schur import check_v, s_omega, weyl_denominator, _perm_sign
+from .modular import EvaluationError, closed_sum
+from .schur import check_v, s_omega, v_vectors, weyl_denominator, _perm_sign
 from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       build_split_omegas, congruence_offset, ell,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
                       hecke_basic, hecke_m, hecke_shift, lambda_of_point,
                       normalize_point, omega_total, phi_inverse,
                       split_degrees)
-
-
-class EvaluationError(ArithmeticError):
-    """The formula produced something that cannot be a dimension."""
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,6 @@ def query(g: int, d: int, omega: ParabolicData) -> VerlindeQuery:
     return VerlindeQuery(g, omega.rank, d, omega)
 
 
-def v_vectors(r: int, k: int):
-    """Strictly decreasing vectors (v_1, ..., v_(r-1), 0) with v_1 < r + k."""
-    for combo in combinations(range(1, r + k), r - 1):
-        yield tuple(sorted(combo, reverse=True)) + (0,)
-
-
 @functools.lru_cache(maxsize=None)
 def _weyl_inverse_promoted(v, g: int, r: int, k: int) -> CycNum:
     N = r * (r + k)
@@ -122,6 +116,14 @@ def _prefactor(q: VerlindeQuery) -> Fraction:
 
 
 def closed_formula_exact(q: VerlindeQuery) -> VerlindeResult:
+    """The closed sum by multi-modular evaluation."""
+    return VerlindeResult(closed_sum(q, _prefactor(q)), "exact",
+                          ell(q.omega, q.genus, q.degree).denominator == 1,
+                          _is_exceptional(q))
+
+
+def closed_formula_cyclotomic(q: VerlindeQuery) -> VerlindeResult:
+    """The closed sum in Q(zeta_N): the oracle for the exact backend."""
     r, k = q.rank, q.level
     total = CycNum.zero(r * (r + k))
     for v in v_vectors(r, k):
@@ -136,46 +138,82 @@ def closed_formula_exact(q: VerlindeQuery) -> VerlindeResult:
                           _is_exceptional(q))
 
 
-def _schur_float(lam, v, n: int) -> complex:
+def _root(m: int, n: int) -> complex:
+    # the exponent is reduced exactly, so the angle stays below 2 pi
+    return cmath.rect(1.0, 2.0 * math.pi * (m % n) / n)
+
+
+def _schur_float(lam, v, n: int) -> tuple[complex, float]:
+    """The Schur value and |Vandermonde|; each of the alternant's r!
+    summands is a single root of unity."""
     r = len(v)
-    z = [cmath.rect(1.0, 2.0 * math.pi * vj / n) for vj in v]
     exps = [lam[i] + r - 1 - i for i in range(r)]
     num = 0j
     for perm in permutations(range(r)):
-        prod = complex(_perm_sign(perm))
-        for i in range(r):
-            prod *= z[perm[i]] ** exps[i]
-        num += prod
+        root = _root(sum(exps[i] * v[perm[i]] for i in range(r)), n)
+        num += root if _perm_sign(perm) > 0 else -root
+    z = [_root(vj, n) for vj in v]
     den = 1 + 0j
     for i in range(r):
         for j in range(i + 1, r):
             den *= z[i] - z[j]
-    return num / den
+    return num / den, abs(den)
+
+
+def _float_error_units(r: int, n: int, g: int, points: int) -> int:
+    """m such that the float sum is off by at most gamma_m = m u / (1 - m u)
+    times |prefactor| times the sum of its terms with every alternant
+    summand in absolute value (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 3).  Relative errors per expanded summand, in units of
+    u = 2**-53: 32 per root of unity (angle and rect); per Schur value r! for
+    the alternant sum, 16n + 4 per Vandermonde factor (a difference of two
+    roots at distance >= 4/n, then a product), 8 for the division and 3 for
+    the product into the term; per sine factor 3n + 1 (sin at pi m / n has
+    condition number at most n) times the exponent |2g - 2|, plus 2; one per
+    term C(n-1, r-1) summed; and g + |g - 1| + 6 for the prefactor and the
+    last products."""
+    pairs = r * (r - 1) // 2
+    schur = 32 + math.factorial(r) + pairs * (16 * n + 4) + 11
+    sines = pairs * (2 * abs(g - 1) * (3 * n + 1) + 2)
+    terms = math.comb(n - 1, r - 1)
+    return 32 + points * schur + sines + terms + g + abs(g - 1) + 6
 
 
 def closed_formula_float(q: VerlindeQuery) -> VerlindeResult:
+    """The closed sum in double precision; refuses when its running error
+    bound reaches 0.5, since the rounded value could then be wrong."""
     r, k, g, d = q.rank, q.level, q.genus, q.degree
     n = r + k
-    W = omega_total(q.omega)
+    N = r * n
+    twist = (d * n - omega_total(q.omega)) % N
+    lams = [lambda_of_point(p, k) for p in q.omega.points]
+    alternant_size = float(math.factorial(r))
     total = 0j
+    size = 0.0
     for v in v_vectors(r, k):
-        sv = sum(v)
-        term = cmath.exp(2j * math.pi * (d / r - W / (r * n)) * sv)
-        for p in q.omega.points:
-            term *= _schur_float(lambda_of_point(p, k), v, n)
+        term = _root(twist * sum(v), N)
+        term_size = 1.0
+        for lam in lams:
+            s, vand = _schur_float(lam, v, n)
+            term *= s
+            term_size *= alternant_size / vand
         den = 1.0
         for i in range(r):
             for j in range(i + 1, r):
                 den *= (2.0 * math.sin(math.pi * (v[i] - v[j]) / n)) ** (2 * (g - 1))
         total += term / den
+        size += term_size / den
     pref = (k / r) ** g * float(r * n ** (r - 1)) ** (g - 1)
     if (d * (r - 1)) % 2:
         pref = -pref
     total *= pref
     value = round(total.real)
     residual = abs(total - value)
-    if residual >= 0.5:
-        raise EvaluationError(f"float backend precision exhausted (residual {residual})")
+    mu = _float_error_units(r, n, g, len(lams)) * 2.0 ** -53
+    error = mu / (1.0 - mu) * abs(pref) * size
+    if error >= 0.5 or residual >= 0.5:
+        raise EvaluationError(f"float backend precision exhausted (error bound "
+                              f"{error:.3g}, residual {residual:.3g})")
     return VerlindeResult(value, "float",
                           ell(q.omega, q.genus, q.degree).denominator == 1,
                           _is_exceptional(q), residual)
@@ -322,8 +360,9 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
            point: str | None = None, multiplicity: int | None = None,
            backend: str = "exact", tol: float = 1e-6,
            memo: dict | None = None) -> VerifyReport:
-    """Evaluate one side-by-side check; ok means residual zero (exact modes)
-    or within tolerance (backend mode)."""
+    """Evaluate one side-by-side check; ok means residual zero (exact modes),
+    or in backend mode the exact value equal to the cyclotomic oracle and the
+    float value within tolerance."""
     if mode == "genus":
         lhs = dimension(q, backend, memo)
         rhs = genus_recurrence_rhs(q, backend, memo)
@@ -344,12 +383,14 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
         rhs = dimension(hecke_image(q, point, multiplicity), backend, memo)
     elif mode == "backend":
         lhs = dimension(q, "exact", memo)
+        oracle = closed_formula_cyclotomic(q).value
         rf = closed_formula_float(q)
         rhs = rf.value
         residual = abs(lhs - rhs) + (rf.float_residual or 0.0)
-        ok = residual <= tol * max(1, abs(lhs))
+        ok = lhs == oracle and residual <= tol * max(1, abs(lhs))
         return VerifyReport("backend", ok, lhs, rhs, residual, q,
-                            {"float_residual": rf.float_residual})
+                            {"cyclotomic": oracle,
+                             "float_residual": rf.float_residual})
     else:
         raise ValueError(f"unknown mode {mode!r}")
     residual = abs(lhs - rhs)

@@ -114,6 +114,28 @@ def test_dim_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     assert "internal error" in capsys.readouterr().err
 
 
+def test_dim_float_refuses_beyond_its_error_bound(tmp_path, capsys):
+    # rounding once printed 36436622194474984 here, with exit 0
+    doc = write_doc(tmp_path, {"genus": 5, "rank": 3, "degree": 0,
+                               "level": 8})
+    assert main(["dim", doc, "--backend", "float"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "precision exhausted" in captured.err
+    assert main(["dim", doc, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 36436622194475008
+
+
+def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
+    def boom(q):
+        raise RuntimeError("unforeseen")
+    monkeypatch.setattr(cli, "closed_formula_exact", boom)
+    rc = main(["dim", write_doc(tmp_path, BARE_DOC)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["internal error: RuntimeError: unforeseen"]
+
+
 # -- cache -----------------------------------------------------------------
 
 def test_cache_miss_then_hit(tmp_path, capsys):
@@ -168,6 +190,43 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     rc = main(["dim", doc, "--cache-dir", str(cache), "--json"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["value"] == 3
+
+
+@pytest.mark.parametrize("edit", [
+    lambda rec: rec.update(value=999),
+    lambda rec: rec.pop("value"),
+    lambda rec: rec.pop("ell_integral"),
+    lambda rec: rec.pop("digest"),
+    lambda rec: rec.update(digest="0" * 64),
+], ids=["value-edited", "value-missing", "field-missing", "digest-missing",
+        "digest-wrong"])
+def test_bad_cache_record_is_recomputed(tmp_path, capsys, edit):
+    doc = write_doc(tmp_path, BARE_DOC)
+    cache = tmp_path / "cache"
+    main(["dim", doc, "--cache-dir", str(cache), "--json"])
+    capsys.readouterr()
+    for f in cache.rglob("*.json"):
+        record = json.loads(f.read_text())
+        edit(record)
+        f.write_text(json.dumps(record, sort_keys=True))
+    rc = main(["dim", doc, "--cache-dir", str(cache), "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["cache"]) == (3, "miss")
+    main(["dim", doc, "--cache-dir", str(cache), "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["value"], payload["cache"]) == (3, "hit")
+
+
+@pytest.mark.parametrize("value", [-1, "3", True, 3.0, None])
+def test_cache_record_value_must_be_nonnegative_int(tmp_path, value):
+    # a record with a matching digest is still refused for a bad value
+    q, _ = document_to_query(BARE_DOC)
+    cache = str(tmp_path / "cache")
+    cli.cache_put(cache, q, "exact", {"value": value, "ell_integral": True,
+                                      "exceptional_case": False,
+                                      "float_residual": None})
+    assert cli.cache_get(cache, q, "exact") is None
 
 
 # -- verify ----------------------------------------------------------------
@@ -270,6 +329,13 @@ def test_enumerate_qk(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out == ["0 0", "1 1", "count: 2"]
+
+
+@pytest.mark.parametrize("n1", ["abc", "1/0"])
+def test_enumerate_qk_bad_n1(capsys, n1):
+    rc = main(["enumerate", "qk", "-r", "2", "-k", "2", "--n1", n1])
+    assert rc == 2
+    assert "error: --n1" in capsys.readouterr().err
 
 
 def test_enumerate_vvec(capsys):
