@@ -10,7 +10,10 @@ ch. 5).  One more prime, the witness, checks the rebuilt integer.
 
 Every term is a root power, the Schur values of the marked points and a
 sine product, each read from one table of powers of omega.  A Schur value
-is an alternant ratio, its determinant taken by elimination mod p.
+is an alternant ratio, its determinant taken by elimination mod p.  One pass
+over the terms serves all primes of a query: the exponent indices are
+built once per term, and each prime sums its terms as fractions and
+inverts once.
 
 No prime is bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1) is a
 unit away from the primes dividing n = r + k, so neither a Vandermonde nor
@@ -22,6 +25,7 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
+from operator import itemgetter
 
 from .schur import v_vectors
 from .weights import lambda_of_point, omega_total
@@ -30,6 +34,10 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # the least strong pseudoprime to all twelve bases above
 _MR_LIMIT = 318665857834031151167461
 _PRIME_TOP = 1 << 61
+# the primes below 200: a candidate sharing a factor with their product is
+# composite, since every candidate is far above 200
+_SMALL_PRIMES = math.prod(f for f in range(2, 200)
+                          if all(f % d for d in range(2, math.isqrt(f) + 1)))
 
 
 class EvaluationError(ArithmeticError):
@@ -81,7 +89,7 @@ def prime_root(N: int, i: int) -> tuple[int, tuple[int, ...]]:
     powers omega**0, ..., omega**(N-1) of an element omega of order N."""
     top = _PRIME_TOP if i == 0 else prime_root(N, i - 1)[0]
     p = (top - 2) // N * N + 1
-    while not is_prime(p):
+    while math.gcd(p, _SMALL_PRIMES) != 1 or not is_prime(p):
         p -= N
     factors = _prime_factors(N)
     a = 2
@@ -103,61 +111,91 @@ def _nonzero(x: int, p: int) -> int:
     return x
 
 
-def _det(rows: list[list[int]], p: int) -> int:
-    """Determinant mod p by Gaussian elimination."""
-    m = [list(row) for row in rows]
-    size = len(m)
-    det = 1
-    for c in range(size):
-        piv = next((i for i in range(c, size) if m[i][c]), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            det = -det
-        det = det * m[c][c] % p
-        inv = pow(m[c][c], -1, p)
-        for i in range(c + 1, size):
-            f = m[i][c] * inv % p
+def _det(rows: list[list[int]], p: int) -> tuple[int, int]:
+    """Determinant mod p as a fraction (num, den), den != 0, by elimination
+    that cross-multiplies rows instead of dividing by the pivot.  With pivot
+    a, each row below with leading entry f != 0 becomes a * row - f * top,
+    which scales the determinant by a; so det = a * det(rest) / a**s for s
+    such rows, and a goes once into num and s times into den."""
+    rows = list(rows)
+    num = den = 1
+    while len(rows) > 1:
+        if not rows[0][0]:
+            piv = next((i for i, row in enumerate(rows) if row[0]), None)
+            if piv is None:
+                return 0, 1
+            rows[0], rows[piv] = rows[piv], rows[0]
+            num = -num
+        top = rows[0]
+        a, tail = top[0], top[1:]
+        num = num * a % p
+        sub = []
+        for row in rows[1:]:
+            f = row[0]
             if f:
-                row, top = m[i], m[c]
-                for j in range(c + 1, size):
-                    row[j] = (row[j] - f * top[j]) % p
-    return det % p
+                sub.append([(a * x - f * y) % p for x, y in zip(row[1:], tail)])
+                den = den * a % p
+            else:
+                sub.append(row[1:])
+        rows = sub
+    return num * rows[0][0] % p, den
 
 
-def residue(q, prefactor: Fraction, p: int, powers) -> int:
-    """The closed sum of q times prefactor, mod p, with zeta_N read as the
-    root of unity whose powers are given."""
+def residues(q, prefactor: Fraction, roots) -> list[int]:
+    """The closed sum of q times prefactor modulo each prime of roots, a
+    list of (p, powers) with zeta_N read as the root of unity whose powers
+    are given, in one pass over the v-vectors.
+
+    The exponent indices of a term do not depend on p and are built once
+    per v for all primes.  Each term is a fraction num / den mod p, den
+    collecting the alternants' pivots, the Vandermonde per point and the
+    sine product when it divides; the terms are summed by cross-multiplying,
+    so each prime needs one inversion, taken after checking that the
+    product of all denominators is nonzero."""
     r, k, g = q.rank, q.level, q.genus
     n = r + k
     N = r * n
     twist = (q.degree * n - omega_total(q.omega)) % N
-    exps = [[lam[i] + r - 1 - i for i in range(r)]
-            for lam in (lambda_of_point(pt, k) for pt in q.omega.points)]
-    total = 0
+    # a rank-1 alternant is the 1 x 1 matrix (zeta**0), so only higher
+    # ranks need the points' exponents
+    lams = [lambda_of_point(pt, k) for pt in q.omega.points] if r > 1 else []
+    exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
+    sums = [0] * len(roots)
+    dens = [1] * len(roots)
     for v in v_vectors(r, k):
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
-        term = powers[twist * sum(v) % N]
-        if exps:
-            vand = 1
-            for i in range(r):
-                for j in range(i + 1, r):
-                    vand = vand * (powers[x[i]] - powers[x[j]]) % p
-            for e in exps:
-                alt = _det([[powers[ei * xj % N] for xj in x] for ei in e], p)
-                term = term * alt % p
-            term = term * pow(_nonzero(vand, p), -len(exps), p) % p
-        if g != 1:
-            sines = 1                        # prod of (2 sin)^2 = 2 - a - 1/a
-            for i in range(r):
-                for j in range(i + 1, r):
-                    a = x[i] - x[j]
-                    sines = sines * (2 - powers[a] - powers[N - a]) % p
-            term = term * pow(_nonzero(sines, p), 1 - g, p) % p
-        total += term
-    den = _nonzero(prefactor.denominator, p)
-    return total * prefactor.numerator * pow(den, -1, p) % p
+        t = twist * sum(v) % N
+        pairs = [(x[i], x[j]) for i in range(r) for j in range(i + 1, r)]
+        sine_pairs = [(a - b, N - a + b) for a, b in pairs]
+        # one getter per alternant row, reading its entries from powers
+        mats = [[itemgetter(*[ei * xj % N for xj in x]) for ei in e]
+                for e in exps]
+        for s, (p, powers) in enumerate(roots):
+            num, den = powers[t], 1
+            if mats:
+                vand = 1
+                for a, b in pairs:
+                    vand = vand * (powers[a] - powers[b]) % p
+                den = pow(vand, len(mats), p)
+                for m in mats:
+                    alt, scale = _det([row(powers) for row in m], p)
+                    num = num * alt % p
+                    den = den * scale % p
+            if g != 1:
+                sines = 1                    # prod of (2 sin)^2 = 2 - a - 1/a
+                for a, b in sine_pairs:
+                    sines = sines * (2 - powers[a] - powers[b]) % p
+                if g:
+                    den = den * pow(sines, g - 1, p) % p
+                else:
+                    num = num * sines % p
+            sums[s] = (sums[s] * den + num * dens[s]) % p
+            dens[s] = dens[s] * den % p
+    out = []
+    for (p, _), total, den in zip(roots, sums, dens):
+        den = _nonzero(den * prefactor.denominator, p)
+        out.append(total * prefactor.numerator * pow(den, -1, p) % p)
+    return out
 
 
 def weyl_dimension(lam) -> int:
@@ -191,17 +229,20 @@ def closed_sum(q, prefactor: Fraction) -> int:
     Chinese remaindering and checked at one witness prime."""
     N = q.rank * (q.rank + q.level)
     bound = magnitude_bound(q, prefactor)
-    value, modulus, i = 0, 1, 0
+    roots, modulus = [], 1
     while modulus <= 2 * bound:
-        p, powers = prime_root(N, i)
-        a = residue(q, prefactor, p, powers)
+        roots.append(prime_root(N, len(roots)))
+        modulus *= roots[-1][0]
+    roots.append(prime_root(N, len(roots)))     # the witness
+    *found, witness = residues(q, prefactor, roots)
+    value, modulus = 0, 1
+    for (p, _), a in zip(roots, found):
         value += modulus * ((a - value) * pow(modulus, -1, p) % p)
         modulus *= p
-        i += 1
     if value > modulus // 2:
         value -= modulus
-    p, powers = prime_root(N, i)
-    if abs(value) > bound or value % p != residue(q, prefactor, p, powers):
+    p = roots[-1][0]
+    if abs(value) > bound or value % p != witness:
         raise EvaluationError(f"the closed sum is not an integer within its "
                               f"bound: the rebuilt value {value} fails the "
                               f"bound or the witness prime {p}")

@@ -362,7 +362,8 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
            memo: dict | None = None) -> VerifyReport:
     """Evaluate one side-by-side check; ok means residual zero (exact modes),
     or in backend mode the exact value equal to the cyclotomic oracle and the
-    float value within tolerance."""
+    float value within tolerance.  When the float backend refuses, the
+    report's rhs is the oracle and its detail says "float": "refused"."""
     if mode == "genus":
         lhs = dimension(q, backend, memo)
         rhs = genus_recurrence_rhs(q, backend, memo)
@@ -384,7 +385,15 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
     elif mode == "backend":
         lhs = dimension(q, "exact", memo)
         oracle = closed_formula_cyclotomic(q).value
-        rf = closed_formula_float(q)
+        try:
+            rf = closed_formula_float(q)
+        except EvaluationError as exc:
+            # a refused float value proves nothing either way; the exact
+            # value must still equal the oracle
+            return VerifyReport("backend", lhs == oracle, lhs, oracle,
+                                float(abs(lhs - oracle)), q,
+                                {"cyclotomic": oracle, "float": "refused",
+                                 "float_refusal": str(exc)})
         rhs = rf.value
         residual = abs(lhs - rhs) + (rf.float_residual or 0.0)
         ok = lhs == oracle and residual <= tol * max(1, abs(lhs))

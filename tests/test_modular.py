@@ -1,13 +1,16 @@
 import json
 import random
+from itertools import permutations
 
 import pytest
 
 import thetadim.modular as modular
 import thetadim.verlinde as verlinde
 from thetadim.cli import main
-from thetadim.modular import (EvaluationError, is_prime, magnitude_bound,
-                              prime_root, weyl_dimension)
+from thetadim.modular import (EvaluationError, _det, is_prime,
+                              magnitude_bound, prime_root, residues,
+                              weyl_dimension)
+from thetadim.schur import _perm_sign
 from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
                                closed_formula_exact, query, verify)
 from thetadim.weights import MarkedPoint, ParabolicData
@@ -83,6 +86,23 @@ def test_root_has_order_exactly_N(N):
         assert [m for m in range(1, N + 1) if pow(omega, m, p) == 1] == [N]
 
 
+# the orders r(r + k) of the benchmark's cold queries and recurrence grid
+_ORDERS = sorted({r * (r + k) for r, levels in
+                  ((2, range(1, 14)), (3, range(1, 13)), (4, range(1, 9)),
+                   (5, range(1, 6))) for k in levels}
+                 | {r * (r + k) for r in range(1, 5) for k in range(1, 4)})
+
+
+def test_prime_search_matches_a_plain_scan():
+    for N in _ORDERS:
+        p = 2 ** 61
+        for i in range(3):
+            p = (p - 2) // N * N + 1
+            while not is_prime(p):
+                p -= N
+            assert prime_root(N, i)[0] == p, (N, i)
+
+
 def test_weyl_dimension():
     assert weyl_dimension((0, 0, 0)) == 1
     assert weyl_dimension((1, 0, 0)) == 3
@@ -106,19 +126,24 @@ def test_agrees_with_cyclotomic_oracle():
         oracle = closed_formula_cyclotomic(q)
         assert exact == oracle, q
         exceptional += exact.exceptional_case
+        # every residue of one pass, the witness's included
+        N = q.rank * (q.rank + q.level)
+        roots = [prime_root(N, i) for i in range(3)]
+        assert residues(q, _prefactor(q), roots) == \
+            [oracle.value % p for p, _ in roots], q
     assert exceptional > 0
 
 
 def test_value_needing_two_primes(monkeypatch):
     q = query(5, 0, ParabolicData(3, 8))
     calls = []
-    real = modular.residue
+    real = modular.residues
 
-    def counted(*args):
-        calls.append(args[2])
-        return real(*args)
+    def counted(q, prefactor, roots):
+        calls.extend(p for p, _ in roots)
+        return real(q, prefactor, roots)
 
-    monkeypatch.setattr(modular, "residue", counted)
+    monkeypatch.setattr(modular, "residues", counted)
     assert closed_formula_exact(q).value == 36436622194475008
     assert len(calls) == 3 and len(set(calls)) == 3   # two primes, one witness
 
@@ -128,13 +153,14 @@ def _perturb_witness(monkeypatch, q):
     # the query needs one prime, so the second one is the witness
     assert 2 * magnitude_bound(q, _prefactor(q)) < prime_root(N, 0)[0]
     witness = prime_root(N, 1)[0]
-    real = modular.residue
+    real = modular.residues
 
-    def perturbed(q, prefactor, p, powers):
-        value = real(q, prefactor, p, powers)
-        return (value + 1) % p if p == witness else value
+    def perturbed(q, prefactor, roots):
+        values = real(q, prefactor, roots)
+        return [(value + 1) % p if p == witness else value
+                for (p, _), value in zip(roots, values)]
 
-    monkeypatch.setattr(modular, "residue", perturbed)
+    monkeypatch.setattr(modular, "residues", perturbed)
 
 
 def test_witness_mismatch_raises(monkeypatch):
@@ -168,3 +194,87 @@ def test_verify_backend_catches_exact_path_off_the_oracle(monkeypatch):
     report = verify(q, "backend", memo={})
     assert not report.ok
     assert report.detail["cyclotomic"] == report.lhs - 1
+
+
+# -- the kernel -------------------------------------------------------------
+
+def _leibniz(rows, p):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        term = _perm_sign(perm)
+        for i in range(n):
+            term *= rows[i][perm[i]]
+        total += term
+    return total % p
+
+
+def _matrices(rng, p):
+    for size in range(1, 7):
+        for _ in range(20):
+            m = [[rng.randrange(1, p) for _ in range(size)]
+                 for _ in range(size)]
+            yield m
+            if size == 1:
+                continue
+            # a zero leading entry: a row swap at the first step
+            yield [[0] + m[0][1:]] + m[1:]
+            # the second row a multiple of the first in its first two
+            # entries: a zero pivot, hence a row swap, at the second step
+            yield [m[0], [5 * x % p for x in m[0][:2]] + m[1][2:]] + m[2:]
+            # singular: a row repeated up to a factor, or a zero column
+            yield m[:-1] + [[3 * x % p for x in m[0]]]
+            yield [row[:-1] + [0] for row in m]
+
+
+@pytest.mark.parametrize("p", [7, 11, prime_root(12, 0)[0]])
+def test_division_free_det_matches_leibniz(p):
+    rng = random.Random(p)
+    singular = 0
+    for m in _matrices(rng, p):
+        num, den = _det(m, p)
+        assert den % p != 0
+        expected = _leibniz(m, p)
+        assert num * pow(den, -1, p) % p == expected, m
+        singular += expected == 0
+    assert singular >= 2 * 5 * 20
+
+
+def test_det_leaves_its_input_alone():
+    m = [[0, 1], [2, 3]]
+    _det(m, 101)
+    assert m == [[0, 1], [2, 3]]
+
+
+def test_vanishing_denominator_raises():
+    # a root table of the trivial character: every Vandermonde and sine
+    # factor is zero, so the product of the denominators is
+    q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
+    p, powers = prime_root(8, 0)
+    with pytest.raises(EvaluationError, match="vanishes"):
+        residues(q, _prefactor(q), [(p, powers), (p, (1,) * len(powers))])
+
+
+def test_verify_backend_survives_a_float_refusal():
+    q = query(5, 0, ParabolicData(3, 8))
+    with pytest.raises(EvaluationError, match="precision"):
+        verlinde.closed_formula_float(q)
+    report = verify(q, "backend", memo={})
+    assert report.ok
+    assert report.lhs == report.detail["cyclotomic"] == 36436622194475008
+    assert report.detail["float"] == "refused"
+    assert "precision" in report.detail["float_refusal"]
+
+
+def test_verify_backend_suite_reports_every_query(capsys):
+    rc = main(["verify", "backend", "--rank-max", "3", "--level-max", "8",
+               "--genus-min", "5", "--genus-max", "5", "--samples", "0",
+               "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    # ranks 1-3, levels 1-8, one genus, one query per degree
+    assert payload["suites"] == {"backend": 8 * (1 + 2 + 3)}
+    assert rc == (1 if payload["failures"] else 0)
+    for fail in payload["failures"]:
+        # exact and cyclotomic agree; what fails is the float tolerance
+        assert fail["lhs"] == fail["cyclotomic"] == fail["rhs"]
+        assert fail["residual"] > 1e-6
