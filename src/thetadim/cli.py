@@ -21,7 +21,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -41,7 +40,6 @@ EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
 ENV_CACHE = "THETADIM_CACHE"
-ENV_THREADS = "THETADIM_THREADS"
 
 
 class DocumentError(ValueError):
@@ -246,23 +244,9 @@ def cache_put(cache_dir: str, q: VerlindeQuery, backend: str, payload: dict):
 # -- shared helpers --------------------------------------------------------
 
 
-def _thread_count() -> int:
-    raw = os.environ.get(ENV_THREADS, "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 1
-    return max(1, n)
-
-
-def _run_ordered(tasks):
-    """Run callables, optionally across worker threads; results keep the
-    input order so output stays deterministic."""
-    n = _thread_count()
-    if n == 1 or len(tasks) <= 1:
-        return [t() for t in tasks]
-    with ThreadPoolExecutor(max_workers=n) as ex:
-        return list(ex.map(lambda t: t(), tasks))
+def _at_least(name: str, value: int, low: int) -> None:
+    if value < low:
+        raise DocumentError([f"{name}: must be at least {low}, got {value}"])
 
 
 def _parse_range(text: str, name: str) -> range:
@@ -347,23 +331,19 @@ def _dim_lines(payload):
 
 
 def _identity_checks(args):
-    checks = []
+    """(name, passed) for every orthogonality check of the grid."""
     for r in range(1, args.rank_max + 1):
         for k in range(1, args.level_max + 1):
             vs = list(v_vectors(r, k))
             for v in vs:
-                checks.append((f"pairing-open r={r} k={k} v={v}",
-                               lambda v=v, r=r, k=k:
-                               identity_52_check(v, r, k).is_zero()))
-                checks.append((f"pairing-closed r={r} k={k} v={v}",
-                               lambda v=v, r=r, k=k:
-                               identity_53_check(v, r, k).is_zero()))
+                yield (f"pairing-open r={r} k={k} v={v}",
+                       identity_52_check(v, r, k).is_zero())
+                yield (f"pairing-closed r={r} k={k} v={v}",
+                       identity_53_check(v, r, k).is_zero())
             if k <= args.pair_level_max and r >= 2:
                 for v, vp in combinations(vs, 2):
-                    checks.append((f"cross-pairing r={r} k={k} v={v} v'={vp}",
-                                   lambda v=v, vp=vp, r=r, k=k:
-                                   identity_54_check(v, vp, r, k).is_zero()))
-    return checks
+                    yield (f"cross-pairing r={r} k={k} v={v} v'={vp}",
+                           identity_54_check(v, vp, r, k).is_zero())
 
 
 def _grid_queries(args, need_points=False):
@@ -373,11 +353,8 @@ def _grid_queries(args, need_points=False):
         for k in range(1, args.level_max + 1):
             for g in range(args.genus_min, args.genus_max + 1):
                 for d in range(0, r):
-                    configs = [()]
-                    if k >= 1:
-                        configs += [
-                            (_random_point(rng, r, k, "p0"),)
-                            for _ in range(args.samples)]
+                    configs = [()] + [(_random_point(rng, r, k, "p0"),)
+                                      for _ in range(args.samples)]
                     for pts in configs:
                         if need_points and not pts:
                             continue
@@ -394,58 +371,39 @@ def _verify_failure(name, report, ctx=None):
 
 
 def cmd_verify(args) -> int:
+    _at_least("--rank-max", args.rank_max, 1)
+    _at_least("--level-max", args.level_max, 1)
+    _at_least("--genus-min", args.genus_min, 0)
+    _at_least("--genus-max", args.genus_max, 0)
     suites = (["identities", "genus", "split", "wprime", "hecke", "backend"]
               if args.suite == "all" else [args.suite])
     counts = {}
     by_suite = {}
     for suite in suites:
-        fails = []
         if suite == "identities":
-            checks = _identity_checks(args)
-            results = _run_ordered([fn for _, fn in checks])
+            checks = list(_identity_checks(args))
             counts[suite] = len(checks)
-            for (name, _), ok in zip(checks, results):
-                if not ok:
-                    fails.append({"check": name, "mode": "identity",
-                                  "document": None})
-        elif suite == "genus":
-            queries = [q for q in _grid_queries(args) if q.genus >= 1]
-            reports = _run_ordered([
-                lambda q=q: verify(q, "genus") for q in queries])
-            counts[suite] = len(queries)
-            fails.extend(_verify_failure("genus", rep)
-                         for rep in reports if not rep.ok)
+            by_suite[suite] = [{"check": name, "mode": "identity",
+                                "document": None}
+                               for name, ok in checks if not ok]
+            continue
+        if suite == "genus":
+            runs = [(verify(q, "genus"), None)
+                    for q in _grid_queries(args) if q.genus >= 1]
         elif suite in ("split", "wprime"):
-            cases = _split_cases(args)
-            reports = _run_ordered([
-                lambda q=q, ctx=ctx, m=suite: verify(q, m, ctx=ctx)
-                for q, ctx in cases])
-            counts[suite] = len(cases)
-            for rep, (_, ctx) in zip(reports, cases):
-                if not rep.ok:
-                    fails.append(_verify_failure(suite, rep, ctx))
+            runs = [(verify(q, suite, ctx=ctx), ctx)
+                    for q, ctx in _split_cases(args)]
         elif suite == "hecke":
-            cases = []
-            for q in _grid_queries(args, need_points=True):
-                for p in q.omega.points:
-                    for m in legal_hecke_multiplicities(q, p.label):
-                        cases.append((q, p.label, m))
-            reports = _run_ordered([
-                lambda q=q, z=z, m=m: verify(q, "hecke", point=z, multiplicity=m)
-                for q, z, m in cases])
-            counts[suite] = len(cases)
-            fails.extend(_verify_failure("hecke", rep)
-                         for rep in reports if not rep.ok)
-        elif suite == "backend":
-            queries = _grid_queries(args)
-            reports = _run_ordered([
-                lambda q=q: verify(q, "backend", tol=args.tol) for q in queries])
-            counts[suite] = len(queries)
-            fails.extend(_verify_failure("backend", rep)
-                         for rep in reports if not rep.ok)
+            runs = [(verify(q, "hecke", point=p.label, multiplicity=m), None)
+                    for q in _grid_queries(args, need_points=True)
+                    for p in q.omega.points
+                    for m in legal_hecke_multiplicities(q, p.label)]
         else:
-            raise DocumentError([f"unknown suite {suite!r}"])
-        by_suite[suite] = fails
+            runs = [(verify(q, "backend", tol=args.tol), None)
+                    for q in _grid_queries(args)]
+        counts[suite] = len(runs)
+        by_suite[suite] = [_verify_failure(suite, rep, ctx)
+                           for rep, ctx in runs if not rep.ok]
     failures = [f for fails in by_suite.values() for f in fails]
     if args.json:
         print(json.dumps({"suites": counts, "failures": failures,
@@ -486,6 +444,8 @@ def _split_cases(args):
 
 def cmd_enumerate(args) -> int:
     r, k = args.rank, args.level
+    _at_least("--rank", r, 1)
+    _at_least("--level", k, 1)
     if args.set == "pk":
         elems = list(enumerate_Pk(r, k))
     elif args.set == "wk":
@@ -498,6 +458,7 @@ def cmd_enumerate(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(
                 [f"--n1: expected a fraction, got {args.n1!r}"]) from exc
+        _at_least("--g1", args.g1, 0)
         ctx = SplitContext(args.g1, 1, (), (), 1, 1, 0, n1, Fraction(0),
                            r, k, n1 + r * args.g1)
         elems = list(enumerate_Qk(r, k, ctx))
@@ -520,8 +481,11 @@ def cmd_table(args) -> int:
     ranks = _parse_range(args.rank, "--rank")
     levels = _parse_range(args.level, "--level")
     degrees = _parse_range(args.degree, "--degree")
-    cells = [(g, r, k, d) for g in genera for r in ranks if r >= 1
-             for k in levels if k >= 1 for d in degrees]
+    _at_least("--genus", genera.start, 0)
+    _at_least("--rank", ranks.start, 1)
+    _at_least("--level", levels.start, 1)
+    cells = [(g, r, k, d) for g in genera for r in ranks
+             for k in levels for d in degrees]
     est = sum(math.comb(r + k - 1, r - 1) for _, r, k, _ in cells)
     if est > args.limit and not args.force:
         print(f"estimated term count {est} exceeds the limit {args.limit}; "
@@ -529,20 +493,16 @@ def cmd_table(args) -> int:
         return EXIT_INPUT
     if est > 1000:
         print(f"estimated term count: {est}", file=sys.stderr)
-
-    def one(cell):
-        g, r, k, d = cell
+    rows = []
+    for g, r, k, d in cells:
         q = VerlindeQuery(g, r, d, ParabolicData(r, k))
         res = closed_formula_exact(q) if args.backend == "exact" \
             else closed_formula_float(q)
-        return (g, r, k, d, 0, res.value, res.ell_integral)
-
-    rows = _run_ordered([lambda c=c: one(c) for c in cells])
+        rows.append([g, r, k, d, 0, res.value,
+                     "yes" if res.ell_integral else "no"])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g", "r", "k", "d", "points", "value", "ell_integral"])
-    for row in rows:
-        writer.writerow([row[0], row[1], row[2], row[3], row[4], row[5],
-                         "yes" if row[6] else "no"])
+    writer.writerows(rows)
     return EXIT_OK
 
 

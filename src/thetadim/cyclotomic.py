@@ -19,10 +19,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# Exact rational scalars.  fractions.Fraction already maintains the needed
-# invariants (lowest terms, positive denominator).
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 

@@ -18,12 +18,6 @@ from .cyclotomic import CycNum, root_power
 from .weights import lambda_of_point, mu_star, enumerate_Pk, enumerate_Wk
 
 _BRUTE_LIMIT = 8
-_LEIBNIZ_LIMIT = 5
-
-
-def rho(r: int) -> tuple[int, ...]:
-    """The staircase (r-1, r-2, ..., 0)."""
-    return tuple(range(r - 1, -1, -1))
 
 
 def check_v(v, r: int, k: int) -> tuple[int, ...]:
@@ -62,53 +56,14 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _alternant_leibniz(exps, v, n: int) -> CycNum:
-    # det of the matrix zeta_n**(exps[i]*v[j]): entries are single root powers,
-    # so each Leibniz term collapses to one exponent sum
+def _alternant(exps, v, n: int) -> CycNum:
+    """det(zeta_n**(exps[i] * v[j])).  Each Leibniz term is a single root
+    power, so the sum is a signed count per exponent mod n."""
     r = len(exps)
-    total = CycNum.zero(n)
+    counts = [0] * n
     for perm in permutations(range(r)):
-        e = sum(exps[i] * v[perm[i]] for i in range(r))
-        term = root_power(n, e)
-        total = total + (term if _perm_sign(perm) > 0 else -term)
-    return total
-
-
-def det_leibniz(mat) -> CycNum:
-    """Permutation-sum determinant of a square CycNum matrix."""
-    r = len(mat)
-    order = mat[0][0].order
-    total = CycNum.zero(order)
-    for perm in permutations(range(r)):
-        prod = CycNum.one(order)
-        for i in range(r):
-            prod = prod * mat[i][perm[i]]
-        total = total + (prod if _perm_sign(perm) > 0 else -prod)
-    return total
-
-
-def det_bareiss(mat) -> CycNum:
-    """Fraction-free-style elimination determinant with exact divisions."""
-    n = len(mat)
-    order = mat[0][0].order
-    m = [list(row) for row in mat]
-    sign = 1
-    prev_inv = CycNum.one(order)
-    for col in range(n - 1):
-        piv = next((i for i in range(col, n) if not m[i][col].is_zero()), None)
-        if piv is None:
-            return CycNum.zero(order)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            sign = -sign
-        for row in range(col + 1, n):
-            for c in range(col + 1, n):
-                m[row][c] = (m[col][col] * m[row][c]
-                             - m[row][col] * m[col][c]) * prev_inv
-            m[row][col] = CycNum.zero(order)
-        prev_inv = m[col][col].inverse()
-    det = m[n - 1][n - 1]
-    return det if sign > 0 else -det
+        counts[sum(exps[i] * v[perm[i]] for i in range(r)) % n] += _perm_sign(perm)
+    return CycNum(n, counts)
 
 
 def vandermonde(v, n: int) -> CycNum:
@@ -129,12 +84,7 @@ def _vandermonde_inverse(v, n: int) -> CycNum:
 def _schur_cached(lam, v, n: int) -> CycNum:
     r = len(v)
     exps = tuple(lam[i] + r - 1 - i for i in range(r))
-    if r <= _LEIBNIZ_LIMIT:
-        num = _alternant_leibniz(exps, v, n)
-    else:
-        mat = [[root_power(n, exps[i] * v[j]) for j in range(r)] for i in range(r)]
-        num = det_bareiss(mat)
-    return num * _vandermonde_inverse(v, n)
+    return _alternant(exps, v, n) * _vandermonde_inverse(v, n)
 
 
 def schur_at(lam, v, r: int, k: int) -> CycNum:
@@ -220,24 +170,6 @@ def weyl_denominator(v, g: int, r: int, k: int) -> CycNum:
     if g == 0:
         return prod.inverse()
     return prod ** (g - 1)
-
-
-def j_alternant(exps, t) -> CycNum:
-    """Antisymmetrized power sum: sum over permutations of
-    sign * t_1**e_(tau(1)) * ... * t_r**e_(tau(r))."""
-    r = len(exps)
-    if r != len(t):
-        raise ValueError("need one variable per exponent")
-    if r > 6:
-        raise ValueError("alternant guard: more than 6 variables")
-    order = t[0].order
-    total = CycNum.zero(order)
-    for perm in permutations(range(r)):
-        prod = CycNum.one(order)
-        for i in range(r):
-            prod = prod * t[i] ** exps[perm[i]]
-        total = total + (prod if _perm_sign(perm) > 0 else -prod)
-    return total
 
 
 # -- orthogonality residuals ----------------------------------------------

@@ -260,12 +260,6 @@ def test_verify_all_suites(capsys):
         assert f"suite {suite}:" in out
 
 
-def test_verify_respects_thread_env(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_THREADS, "2")
-    rc = main(["verify", "genus"] + SMALL)
-    assert rc == 0
-
-
 def test_verify_flags_broken_formula(capsys, monkeypatch):
     # sabotage the recurrence and expect the harness to catch it
     real = verlinde.genus_recurrence_rhs
@@ -391,6 +385,30 @@ def test_table_force_overrides_guard(capsys):
 def test_table_bad_range(capsys):
     rc = main(["table", "--genus", "x:y", "--rank", "2", "--level", "2"])
     assert rc == 2
+
+
+# -- out-of-range integers -------------------------------------------------
+
+@pytest.mark.parametrize("argv, option", [
+    (["enumerate", "pk", "-r", "-1", "-k", "2"], "--rank"),
+    (["enumerate", "wk", "-r", "2", "-k", "0"], "--level"),
+    (["enumerate", "vvec", "-r", "0", "-k", "2"], "--rank"),
+    (["enumerate", "qk", "-r", "2", "-k", "2", "--g1", "-1"], "--g1"),
+    (["table", "--genus", "-1", "--rank", "2", "--level", "2"], "--genus"),
+    (["table", "--genus", "1", "--rank", "0:2", "--level", "2"], "--rank"),
+    (["table", "--genus", "1", "--rank", "2", "--level", "0"], "--level"),
+    (["verify", "genus", "--genus-min", "-2"], "--genus-min"),
+    (["verify", "split", "--genus-max", "-1"], "--genus-max"),
+    (["verify", "identities", "--rank-max", "0"], "--rank-max"),
+    (["verify", "backend", "--level-max", "-3"], "--level-max"),
+])
+def test_out_of_range_integers_are_input_errors(capsys, argv, option):
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {option}:")
 
 
 # -- hecke -----------------------------------------------------------------

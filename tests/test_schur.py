@@ -1,20 +1,13 @@
-import random
 from fractions import Fraction
 
 import pytest
 
 from thetadim.cyclotomic import CycNum, root_power
-from thetadim.schur import (check_v, det_bareiss, det_leibniz, j_alternant,
-                            identity_52_check, identity_53_check,
-                            identity_54_check, rho, schur_at, schur_brute,
-                            sin_sq, vandermonde, weyl_denominator)
+from thetadim.schur import (check_v, identity_52_check, identity_53_check,
+                            identity_54_check, schur_at, schur_brute, sin_sq,
+                            weyl_denominator)
 from thetadim.verlinde import v_vectors
 from thetadim.weights import enumerate_Pk, enumerate_Wk, mu_star
-
-
-def test_rho():
-    assert rho(1) == (0,)
-    assert rho(3) == (2, 1, 0)
 
 
 def test_check_v():
@@ -47,7 +40,7 @@ def test_schur_small_examples():
 
 def test_schur_brute_agrees():
     checked = 0
-    for r, k in ((1, 3), (2, 2), (2, 3), (3, 2)):
+    for r, k in ((1, 3), (2, 2), (2, 3), (3, 2), (6, 2)):
         for v in v_vectors(r, k):
             for lam in enumerate_Pk(r, k):
                 if sum(lam) > 8:
@@ -134,52 +127,6 @@ def test_weyl_denominator_matches_float():
                 for j in range(i + 1, r):
                     expect *= (2 * math.sin(math.pi * (v[i] - v[j]) / (r + k))) ** 2
             assert abs(exact.embed().real - expect) < 1e-9
-
-
-# -- alternants ------------------------------------------------------------
-
-def test_j_alternant_antisymmetry():
-    t = [root_power(5, i) for i in (1, 2, 4)]
-    a = j_alternant((2, 1, 0), t)
-    swapped = [t[1], t[0], t[2]]
-    assert j_alternant((2, 1, 0), swapped) == -a
-    # repeated evaluation point kills the alternant
-    assert j_alternant((2, 1, 0), [t[0], t[0], t[2]]).is_zero()
-
-
-def test_j_alternant_equals_schur_times_vandermonde():
-    for r, k in ((2, 2), (3, 2)):
-        n = r + k
-        for v in v_vectors(r, k):
-            t = [root_power(n, x) for x in v]
-            vdm = vandermonde(v, n)
-            for mu in enumerate_Pk(r, k):
-                exps = tuple(m + d for m, d in zip(mu, rho(r)))
-                assert j_alternant(exps, t) == schur_at(mu, v, r, k) * vdm
-
-
-# -- determinant backends --------------------------------------------------
-
-def random_cyc_matrix(rng, size, order):
-    return [[root_power(order, rng.randrange(order)) +
-             CycNum.from_rational(rng.randint(-2, 2), order)
-             for _ in range(size)] for _ in range(size)]
-
-
-def test_det_backends_agree():
-    rng = random.Random(11)
-    for size in (1, 2, 3, 4):
-        for _ in range(6):
-            m = random_cyc_matrix(rng, size, 7)
-            assert det_leibniz(m) == det_bareiss([row[:] for row in m])
-
-
-def test_det_singular():
-    order = 5
-    row = [root_power(order, 1), root_power(order, 2)]
-    m = [row, row[:]]
-    assert det_bareiss(m).is_zero()
-    assert det_leibniz(m).is_zero()
 
 
 # -- summed identities -----------------------------------------------------

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from thetadim.cli import _random_point
 from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                closed_formula_exact, closed_formula_float,
                                closed_term, dimension, genus_recurrence_rhs,
@@ -10,7 +11,8 @@ from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                iter_wprime_terms, legal_hecke_multiplicities,
                                query, split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
-from thetadim.weights import (MarkedPoint, ParabolicData, phi, split_context)
+from thetadim.weights import (MarkedPoint, ParabolicData, ell, phi,
+                              split_context)
 
 
 def pt(label, flag, weights):
@@ -296,6 +298,28 @@ def test_exceptional_case_still_evaluates():
     res = closed_formula_exact(query(0, 0, three))
     assert res.exceptional_case
     assert isinstance(res.value, int)
+
+
+def test_closed_sum_vanishes_when_ell_is_not_integral():
+    # an observation over a grid, not yet a proof: every query whose
+    # twisting degree ell is not an integer has a closed sum of 0
+    rng = random.Random(6)
+    seen = exceptional = 0
+    for r in range(1, 5):
+        for k in range(1, 5):
+            for g in range(3):
+                for d in range(r):
+                    for n in (0, 1, 1, 2, 2, 3, 3):
+                        pts = tuple(_random_point(rng, r, k, f"p{i}")
+                                    for i in range(n))
+                        q = query(g, d, ParabolicData(r, k, pts))
+                        if ell(q.omega, g, d).denominator == 1:
+                            continue
+                        res = closed_formula_exact(q)
+                        assert res.value == 0, q
+                        seen += 1
+                        exceptional += res.exceptional_case
+    assert seen > 400 and exceptional > 0
 
 
 # -- backends and memoization ----------------------------------------------
