@@ -14,43 +14,41 @@ from thetadim.verlinde import (dimension, genus_recurrence_rhs, hecke_image,
                                legal_hecke_multiplicities, query, verify)
 from thetadim.weights import (MarkedPoint, ParabolicData, phi, split_context)
 
-memo = {}
-
 # a genus 2 surface, rank 2, level 2, no marked points
 q = query(2, 0, ParabolicData(2, 2))
-print("D(genus 2, rank 2, level 2) =", dimension(q, memo=memo))
+print("D(genus 2, rank 2, level 2) =", dimension(q))
 
 # the same number from one genus lower: sum over all two-point weight
 # extensions of the genus 1 moduli
-print("genus recurrence gives     =", genus_recurrence_rhs(q, memo=memo))
+print("genus recurrence gives     =", genus_recurrence_rhs(q))
 
 # the same number a third way: pinch the surface into two genus 1
 # halves and sum products of one-point dimensions
 ctx = split_context(q.omega, 2, 0, (), 1, 1, 1)
-terms = dict(iter_split_terms(q, ctx, memo=memo))
+terms = dict(iter_split_terms(q, ctx))
 print("split terms:", terms, " sum =", sum(terms.values()))
 
 # and a fourth way, summing over the congruence-filtered weight set;
 # the phi bijection matches its terms with the previous sum one by one
-wp = dict(iter_wprime_terms(q, ctx, memo=memo))
+wp = dict(iter_wprime_terms(q, ctx))
 for mu, val in terms.items():
     print(f"  term {mu} -> {phi(mu, ctx)}: {val} = {wp[phi(mu, ctx)]}")
 
 # marked points: a flagged point changes the count
 omega = ParabolicData(3, 2, (MarkedPoint("p", (2, 1), (0, 1)),))
 qp = query(1, 1, omega)
-print("rank 3 with one marked point:", dimension(qp, memo=memo))
+print("rank 3 with one marked point:", dimension(qp))
 
 # Hecke moves rewrite the data and shift the degree but never the answer
 for m in legal_hecke_multiplicities(qp, "p"):
     img = hecke_image(qp, "p", m)
     print(f"  move m={m}: degree {qp.degree} -> {img.degree}, "
-          f"dimension {dimension(img, memo=memo)}")
+          f"dimension {dimension(img)}")
 
 # verify() wraps each comparison with a residual report
 for mode, kwargs in (("genus", {}), ("split", {"ctx": ctx}),
                      ("wprime", {"ctx": ctx}), ("backend", {})):
-    rep = verify(q, mode, memo=memo, **kwargs)
+    rep = verify(q, mode, **kwargs)
     print(f"verify {mode}: lhs={rep.lhs} rhs={rep.rhs} ok={rep.ok}")
 
 # queries serialize to the same JSON documents the CLI consumes

@@ -28,8 +28,8 @@ from . import __version__
 from .cyclotomic import NotRationalError
 from .schur import identity_52_check, identity_53_check, identity_54_check
 from .verlinde import (EvaluationError, VerlindeQuery, closed_formula_exact,
-                       closed_formula_float, dimension, hecke_image,
-                       legal_hecke_multiplicities, v_vectors, verify)
+                       hecke_image, legal_hecke_multiplicities, v_vectors,
+                       verify)
 from .weights import (MarkedPoint, ParabolicData, SplitContext,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk,
                       enumerate_Wk_prime, split_context)
@@ -179,9 +179,8 @@ def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
 # -- result cache ----------------------------------------------------------
 
 
-def _cache_path(cache_dir: str, q: VerlindeQuery, backend: str) -> str:
-    digest = hashlib.sha256(
-        f"{backend}\n{q.canonical_key()}".encode()).hexdigest()
+def _cache_path(cache_dir: str, q: VerlindeQuery) -> str:
+    digest = hashlib.sha256(q.canonical_key().encode()).hexdigest()
     return os.path.join(cache_dir, digest[:2], digest + ".json")
 
 
@@ -190,10 +189,10 @@ def _record_digest(record: dict) -> str:
         json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def cache_get(cache_dir: str, q: VerlindeQuery, backend: str):
+def cache_get(cache_dir: str, q: VerlindeQuery):
     """The cached record for the query, or None when there is none or it is
     stale, incomplete, malformed or does not match its digest."""
-    path = _cache_path(cache_dir, q, backend)
+    path = _cache_path(cache_dir, q)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -214,19 +213,15 @@ def cache_get(cache_dir: str, q: VerlindeQuery, backend: str):
     if not isinstance(data.get("ell_integral"), bool) \
             or not isinstance(data.get("exceptional_case"), bool):
         return None
-    residual = data.get("float_residual")
-    if residual is not None and not isinstance(residual, float):
-        return None
     return data
 
 
-def cache_put(cache_dir: str, q: VerlindeQuery, backend: str, payload: dict):
-    path = _cache_path(cache_dir, q, backend)
+def cache_put(cache_dir: str, q: VerlindeQuery, payload: dict):
+    path = _cache_path(cache_dir, q)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     record = dict(payload)
     record["version"] = __version__
     record["query_key"] = q.canonical_key()
-    record["backend"] = backend
     record["digest"] = _record_digest(record)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -289,42 +284,33 @@ def _emit(args, payload: dict, human_lines):
 
 def cmd_dim(args) -> int:
     q, _ = load_document(args.document)
-    backend = args.backend
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE)
     use_cache = bool(cache_dir) and not args.no_cache
-    origin = "computed"
     if use_cache:
-        hit = cache_get(cache_dir, q, backend)
+        hit = cache_get(cache_dir, q)
         if hit is not None:
-            payload = {"value": hit["value"], "backend": backend,
+            payload = {"value": hit["value"],
                        "ell_integral": hit["ell_integral"],
                        "exceptional_case": hit["exceptional_case"],
-                       "float_residual": hit.get("float_residual"),
                        "cache": "hit"}
             _emit(args, payload, _dim_lines(payload))
             return EXIT_OK
-    res = closed_formula_exact(q) if backend == "exact" else closed_formula_float(q)
-    payload = {"value": res.value, "backend": backend,
-               "ell_integral": res.ell_integral,
+    res = closed_formula_exact(q)
+    payload = {"value": res.value, "ell_integral": res.ell_integral,
                "exceptional_case": res.exceptional_case,
-               "float_residual": res.float_residual,
-               "cache": "miss" if use_cache else origin}
+               "cache": "miss" if use_cache else "computed"}
     if use_cache:
-        cache_put(cache_dir, q, backend, {
+        cache_put(cache_dir, q, {
             "value": res.value, "ell_integral": res.ell_integral,
-            "exceptional_case": res.exceptional_case,
-            "float_residual": res.float_residual})
+            "exceptional_case": res.exceptional_case})
     _emit(args, payload, _dim_lines(payload))
     return EXIT_OK
 
 
 def _dim_lines(payload):
     lines = [f"value: {payload['value']}",
-             f"backend: {payload['backend']}",
              f"ell integral: {'yes' if payload['ell_integral'] else 'no'}",
              f"exceptional case: {'yes' if payload['exceptional_case'] else 'no'}"]
-    if payload.get("float_residual") is not None:
-        lines.append(f"float residual: {payload['float_residual']:.3e}")
     if payload.get("cache") in ("hit", "miss"):
         lines.append(f"cache: {payload['cache']}")
     return lines
@@ -375,6 +361,8 @@ def cmd_verify(args) -> int:
     _at_least("--level-max", args.level_max, 1)
     _at_least("--genus-min", args.genus_min, 0)
     _at_least("--genus-max", args.genus_max, 0)
+    _at_least("--pair-level-max", args.pair_level_max, 0)
+    _at_least("--samples", args.samples, 0)
     suites = (["identities", "genus", "split", "wprime", "hecke", "backend"]
               if args.suite == "all" else [args.suite])
     counts = {}
@@ -382,28 +370,30 @@ def cmd_verify(args) -> int:
     for suite in suites:
         if suite == "identities":
             checks = list(_identity_checks(args))
-            counts[suite] = len(checks)
-            by_suite[suite] = [{"check": name, "mode": "identity",
-                                "document": None}
-                               for name, ok in checks if not ok]
-            continue
-        if suite == "genus":
-            runs = [(verify(q, "genus"), None)
-                    for q in _grid_queries(args) if q.genus >= 1]
-        elif suite in ("split", "wprime"):
-            runs = [(verify(q, suite, ctx=ctx), ctx)
-                    for q, ctx in _split_cases(args)]
-        elif suite == "hecke":
-            runs = [(verify(q, "hecke", point=p.label, multiplicity=m), None)
-                    for q in _grid_queries(args, need_points=True)
-                    for p in q.omega.points
-                    for m in legal_hecke_multiplicities(q, p.label)]
+            fails = [{"check": name, "mode": "identity", "document": None}
+                     for name, ok in checks if not ok]
         else:
-            runs = [(verify(q, "backend", tol=args.tol), None)
-                    for q in _grid_queries(args)]
-        counts[suite] = len(runs)
-        by_suite[suite] = [_verify_failure(suite, rep, ctx)
-                           for rep, ctx in runs if not rep.ok]
+            if suite == "genus":
+                checks = [(verify(q, "genus"), None)
+                          for q in _grid_queries(args) if q.genus >= 1]
+            elif suite in ("split", "wprime"):
+                checks = [(verify(q, suite, ctx=ctx), ctx)
+                          for q, ctx in _split_cases(args)]
+            elif suite == "hecke":
+                checks = [(verify(q, "hecke", point=p.label, multiplicity=m),
+                           None)
+                          for q in _grid_queries(args, need_points=True)
+                          for p in q.omega.points
+                          for m in legal_hecke_multiplicities(q, p.label)]
+            else:
+                checks = [(verify(q, "backend", tol=args.tol), None)
+                          for q in _grid_queries(args)]
+            fails = [_verify_failure(suite, rep, ctx)
+                     for rep, ctx in checks if not rep.ok]
+        if not checks:
+            raise DocumentError([f"suite {suite} ran no checks"])
+        counts[suite] = len(checks)
+        by_suite[suite] = fails
     failures = [f for fails in by_suite.values() for f in fails]
     if args.json:
         print(json.dumps({"suites": counts, "failures": failures,
@@ -496,8 +486,7 @@ def cmd_table(args) -> int:
     rows = []
     for g, r, k, d in cells:
         q = VerlindeQuery(g, r, d, ParabolicData(r, k))
-        res = closed_formula_exact(q) if args.backend == "exact" \
-            else closed_formula_float(q)
+        res = closed_formula_exact(q)
         rows.append([g, r, k, d, 0, res.value,
                      "yes" if res.ell_integral else "no"])
     writer = csv.writer(sys.stdout, lineterminator="\n")
@@ -538,7 +527,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dim", help="evaluate one query document")
     p.add_argument("document")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--cache-dir", default=None)
     p.add_argument("--no-cache", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -575,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", required=True)
     p.add_argument("--level", required=True)
     p.add_argument("--degree", default="0")
-    p.add_argument("--backend", choices=("exact", "float"), default="exact")
     p.add_argument("--limit", type=int, default=20000,
                    help="refuse runs whose estimated term count exceeds this")
     p.add_argument("--force", action="store_true")

@@ -233,9 +233,6 @@ class CycNum:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.canonical())
 
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.canonical()[1:])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = CycNum.from_rational(other, self.order)

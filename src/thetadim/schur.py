@@ -56,14 +56,15 @@ def _perm_sign(perm) -> int:
     return sign
 
 
-def _alternant(exps, v, n: int) -> CycNum:
-    """det(zeta_n**(exps[i] * v[j])).  Each Leibniz term is a single root
-    power, so the sum is a signed count per exponent mod n."""
+def alternant_counts(exps, v, n: int) -> list[int]:
+    """det(zeta_n**(exps[i] * v[j])) as the coefficient of each zeta_n**m.
+    Each Leibniz term is a single root power, so the sum is a signed count
+    per exponent mod n."""
     r = len(exps)
     counts = [0] * n
     for perm in permutations(range(r)):
         counts[sum(exps[i] * v[perm[i]] for i in range(r)) % n] += _perm_sign(perm)
-    return CycNum(n, counts)
+    return counts
 
 
 def vandermonde(v, n: int) -> CycNum:
@@ -84,7 +85,7 @@ def _vandermonde_inverse(v, n: int) -> CycNum:
 def _schur_cached(lam, v, n: int) -> CycNum:
     r = len(v)
     exps = tuple(lam[i] + r - 1 - i for i in range(r))
-    return _alternant(exps, v, n) * _vandermonde_inverse(v, n)
+    return CycNum(n, alternant_counts(exps, v, n)) * _vandermonde_inverse(v, n)
 
 
 def schur_at(lam, v, r: int, k: int) -> CycNum:

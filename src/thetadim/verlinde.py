@@ -6,8 +6,9 @@ product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
 The exact backend evaluates it modulo primes and rebuilds the integer
 (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept as its
-oracle.  The float backend mirrors the same sum in double precision, bounds
-its rounding error and rounds.
+oracle.  `dimension` is the exact value, memoized per query.  The float
+backend mirrors the same sum in double precision, bounds its rounding error
+and rounds; it serves only as `verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant rewrites each factor through Hecke moves so the
@@ -23,11 +24,11 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import permutations
 
 from .cyclotomic import CycNum, root_power
 from .modular import EvaluationError, closed_sum
-from .schur import check_v, s_omega, v_vectors, weyl_denominator, _perm_sign
+from .schur import (alternant_counts, check_v, s_omega, v_vectors,
+                    weyl_denominator)
 from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       build_split_omegas, congruence_offset, ell,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
@@ -66,7 +67,6 @@ class VerlindeQuery:
 @dataclass(frozen=True)
 class VerlindeResult:
     value: int
-    backend: str
     ell_integral: bool
     exceptional_case: bool
     float_residual: float | None = None
@@ -117,7 +117,7 @@ def _prefactor(q: VerlindeQuery) -> Fraction:
 
 def closed_formula_exact(q: VerlindeQuery) -> VerlindeResult:
     """The closed sum by multi-modular evaluation."""
-    return VerlindeResult(closed_sum(q, _prefactor(q)), "exact",
+    return VerlindeResult(closed_sum(q, _prefactor(q)),
                           ell(q.omega, q.genus, q.degree).denominator == 1,
                           _is_exceptional(q))
 
@@ -133,7 +133,7 @@ def closed_formula_cyclotomic(q: VerlindeQuery) -> VerlindeResult:
         raise EvaluationError(f"dimension came out non-integral: {val}")
     if val < 0:
         raise EvaluationError(f"dimension came out negative: {val}")
-    return VerlindeResult(int(val), "exact",
+    return VerlindeResult(int(val),
                           ell(q.omega, q.genus, q.degree).denominator == 1,
                           _is_exceptional(q))
 
@@ -144,14 +144,12 @@ def _root(m: int, n: int) -> complex:
 
 
 def _schur_float(lam, v, n: int) -> tuple[complex, float]:
-    """The Schur value and |Vandermonde|; each of the alternant's r!
-    summands is a single root of unity."""
+    """The Schur value and |Vandermonde|; the alternant is summed from
+    `schur`'s exact signed count per root of unity."""
     r = len(v)
     exps = [lam[i] + r - 1 - i for i in range(r)]
-    num = 0j
-    for perm in permutations(range(r)):
-        root = _root(sum(exps[i] * v[perm[i]] for i in range(r)), n)
-        num += root if _perm_sign(perm) > 0 else -root
+    num = sum(c * _root(m, n)
+              for m, c in enumerate(alternant_counts(exps, v, n)) if c)
     z = [_root(vj, n) for vj in v]
     den = 1 + 0j
     for i in range(r):
@@ -166,9 +164,11 @@ def _float_error_units(r: int, n: int, g: int, points: int) -> int:
     summand in absolute value (Higham, *Accuracy and Stability of Numerical
     Algorithms*, ch. 3).  Relative errors per expanded summand, in units of
     u = 2**-53: 32 per root of unity (angle and rect); per Schur value r! for
-    the alternant sum, 16n + 4 per Vandermonde factor (a difference of two
-    roots at distance >= 4/n, then a product), 8 for the division and 3 for
-    the product into the term; per sine factor 3n + 1 (sin at pi m / n has
+    the alternant, which is one product by an exact integer count and at
+    most min(n, r!) - 1 additions, so 32 + min(n, r!) <= 32 + r! with its
+    roots; 16n + 4 per Vandermonde factor (a difference of two roots at
+    distance >= 4/n, then a product), 8 for the division and 3 for the
+    product into the term; per sine factor 3n + 1 (sin at pi m / n has
     condition number at most n) times the exponent |2g - 2|, plus 2; one per
     term C(n-1, r-1) summed; and g + |g - 1| + 6 for the prefactor and the
     last products."""
@@ -214,42 +214,28 @@ def closed_formula_float(q: VerlindeQuery) -> VerlindeResult:
     if error >= 0.5 or residual >= 0.5:
         raise EvaluationError(f"float backend precision exhausted (error bound "
                               f"{error:.3g}, residual {residual:.3g})")
-    return VerlindeResult(value, "float",
+    return VerlindeResult(value,
                           ell(q.omega, q.genus, q.degree).denominator == 1,
                           _is_exceptional(q), residual)
 
 
-# -- memoized dispatch -----------------------------------------------------
-
-_MEMO: dict = {}
+# -- memoized dimension ----------------------------------------------------
 
 
-def clear_memo():
-    _MEMO.clear()
+@functools.lru_cache(maxsize=None)
+def dimension(q: VerlindeQuery) -> int:
+    """The exact dimension, memoized on the (frozen, hashable) query."""
+    return closed_formula_exact(q).value
 
 
-def dimension(q: VerlindeQuery, backend: str = "exact", memo: dict | None = None) -> int:
-    if memo is None:
-        memo = _MEMO
-    key = (q.canonical_key(), backend)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    if backend == "exact":
-        val = closed_formula_exact(q).value
-    elif backend == "float":
-        val = closed_formula_float(q).value
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    memo[key] = val
-    return val
+# bound to the cache itself, so it still clears after `dimension` is rewrapped
+clear_memo = dimension.cache_clear
 
 
 # -- recurrences -----------------------------------------------------------
 
 
-def genus_recurrence_rhs(q: VerlindeQuery, backend: str = "exact",
-                         memo: dict | None = None) -> int:
+def genus_recurrence_rhs(q: VerlindeQuery) -> int:
     """Sum of genus-(g-1) dimensions over all two-point weight extensions."""
     if q.genus < 1:
         raise ValueError("genus recurrence needs genus >= 1")
@@ -257,7 +243,7 @@ def genus_recurrence_rhs(q: VerlindeQuery, backend: str = "exact",
     for mu in enumerate_Pk(q.rank, q.level):
         sub = VerlindeQuery(q.genus - 1, q.rank, q.degree,
                             build_omega_mu(q.omega, mu))
-        total += dimension(sub, backend, memo)
+        total += dimension(sub)
     return total
 
 
@@ -270,26 +256,23 @@ def _check_ctx(q: VerlindeQuery, ctx: SplitContext):
         raise ValueError("context point split does not partition the points")
 
 
-def iter_split_terms(q: VerlindeQuery, ctx: SplitContext,
-                     backend: str = "exact", memo: dict | None = None):
+def iter_split_terms(q: VerlindeQuery, ctx: SplitContext):
     _check_ctx(q, ctx)
     for mu in enumerate_Qk(q.rank, q.level, ctx):
         d1, d2 = split_degrees(mu, ctx)
         o1, o2 = build_split_omegas(q.omega, mu, ctx)
-        t1 = dimension(VerlindeQuery(ctx.g1, q.rank, int(d1), o1), backend, memo)
-        t2 = dimension(VerlindeQuery(ctx.g2, q.rank, int(d2), o2), backend, memo)
+        t1 = dimension(VerlindeQuery(ctx.g1, q.rank, int(d1), o1))
+        t2 = dimension(VerlindeQuery(ctx.g2, q.rank, int(d2), o2))
         yield mu, t1 * t2
 
 
-def split_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext,
-                         backend: str = "exact", memo: dict | None = None) -> int:
+def split_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext) -> int:
     """Product factorization over integral-degree weights; an empty index
     set yields 0."""
-    return sum(t for _, t in iter_split_terms(q, ctx, backend, memo))
+    return sum(t for _, t in iter_split_terms(q, ctx))
 
 
-def iter_wprime_terms(q: VerlindeQuery, ctx: SplitContext,
-                      backend: str = "exact", memo: dict | None = None):
+def iter_wprime_terms(q: VerlindeQuery, ctx: SplitContext):
     _check_ctx(q, ctx)
     r, d = q.rank, q.degree
     off = congruence_offset(q.omega, ctx.I1)
@@ -306,16 +289,15 @@ def iter_wprime_terms(q: VerlindeQuery, ctx: SplitContext,
         data2 = hecke_shift(o2, o2.points[-1].label, s2)
         if (d1 - s1) % r or (d2 - s2 - d) % r:
             raise EvaluationError("Hecke normalization missed the target degree")
-        t1 = dimension(VerlindeQuery(ctx.g1, r, 0, data1), backend, memo)
-        t2 = dimension(VerlindeQuery(ctx.g2, r, d, data2), backend, memo)
+        t1 = dimension(VerlindeQuery(ctx.g1, r, 0, data1))
+        t2 = dimension(VerlindeQuery(ctx.g2, r, d, data2))
         yield lam, t1 * t2
 
 
-def wprime_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext,
-                          backend: str = "exact", memo: dict | None = None) -> int:
+def wprime_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext) -> int:
     """Same product factorization, indexed by the congruence-filtered weight
     set, with each side Hecke-normalized to degrees 0 and d."""
-    return sum(t for _, t in iter_wprime_terms(q, ctx, backend, memo))
+    return sum(t for _, t in iter_wprime_terms(q, ctx))
 
 
 # -- Hecke transport of whole queries --------------------------------------
@@ -358,32 +340,31 @@ def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
 
 def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
            point: str | None = None, multiplicity: int | None = None,
-           backend: str = "exact", tol: float = 1e-6,
-           memo: dict | None = None) -> VerifyReport:
+           tol: float = 1e-6) -> VerifyReport:
     """Evaluate one side-by-side check; ok means residual zero (exact modes),
     or in backend mode the exact value equal to the cyclotomic oracle and the
     float value within tolerance.  When the float backend refuses, the
     report's rhs is the oracle and its detail says "float": "refused"."""
     if mode == "genus":
-        lhs = dimension(q, backend, memo)
-        rhs = genus_recurrence_rhs(q, backend, memo)
+        lhs = dimension(q)
+        rhs = genus_recurrence_rhs(q)
     elif mode == "split":
         if ctx is None:
             raise ValueError("split mode needs a context")
-        lhs = dimension(q, backend, memo)
-        rhs = split_recurrence_rhs(q, ctx, backend, memo)
+        lhs = dimension(q)
+        rhs = split_recurrence_rhs(q, ctx)
     elif mode == "wprime":
         if ctx is None:
             raise ValueError("wprime mode needs a context")
-        lhs = dimension(q, backend, memo)
-        rhs = wprime_recurrence_rhs(q, ctx, backend, memo)
+        lhs = dimension(q)
+        rhs = wprime_recurrence_rhs(q, ctx)
     elif mode == "hecke":
         if point is None or multiplicity is None:
             raise ValueError("hecke mode needs a point label and a multiplicity")
-        lhs = dimension(q, backend, memo)
-        rhs = dimension(hecke_image(q, point, multiplicity), backend, memo)
+        lhs = dimension(q)
+        rhs = dimension(hecke_image(q, point, multiplicity))
     elif mode == "backend":
-        lhs = dimension(q, "exact", memo)
+        lhs = dimension(q)
         oracle = closed_formula_cyclotomic(q).value
         try:
             rf = closed_formula_float(q)

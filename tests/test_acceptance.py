@@ -2,7 +2,6 @@
 
 Every test prints a single summary line (visible under pytest -s) and
 asserts exact equality unless a tolerance is part of the criterion.
-Later criteria reuse a shared memo so the suite stays fast end to end.
 """
 
 import itertools
@@ -22,7 +21,6 @@ from thetadim.weights import (MarkedPoint, ParabolicData, SplitContext,
                               enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
                               h_closed, phi, phi_inverse, split_context)
 
-MEMO = {}
 SEED = 20260822
 
 
@@ -171,7 +169,7 @@ def test_criterion_03_orthogonality_identities():
 
 def test_criterion_04_sanity_values():
     t0 = time.perf_counter()
-    ok = all(dimension(q, memo=MEMO) == expect
+    ok = all(dimension(q) == expect
              for q, expect in _sanity_queries())
     _report(4, "hand-checked dimension values", ok, t0)
 
@@ -180,7 +178,7 @@ def test_criterion_05_genus_recurrence():
     t0 = time.perf_counter()
     ok = True
     for q in GRID:
-        rep = verify(q, "genus", memo=MEMO)
+        rep = verify(q, "genus")
         ok = ok and rep.ok
         if not ok:
             print(f"  first failure at {q}")
@@ -193,9 +191,9 @@ def test_criterion_06_split_recurrences():
     t0 = time.perf_counter()
     ok = True
     for q, ctx in SPLIT_CASES:
-        lhs = dimension(q, memo=MEMO)
-        split_terms = dict(iter_split_terms(q, ctx, memo=MEMO))
-        wp_terms = dict(iter_wprime_terms(q, ctx, memo=MEMO))
+        lhs = dimension(q)
+        split_terms = dict(iter_split_terms(q, ctx))
+        wp_terms = dict(iter_wprime_terms(q, ctx))
         ok = ok and sum(split_terms.values()) == lhs
         ok = ok and sum(wp_terms.values()) == lhs
         for mu, val in split_terms.items():
@@ -214,8 +212,7 @@ def test_criterion_07_hecke_invariance():
     for q in GRID:
         for p in q.omega.points:
             for m in legal_hecke_multiplicities(q, p.label):
-                rep = verify(q, "hecke", point=p.label, multiplicity=m,
-                             memo=MEMO)
+                rep = verify(q, "hecke", point=p.label, multiplicity=m)
                 ok = ok and rep.ok
                 moves += 1
         if not ok:
@@ -261,7 +258,7 @@ def test_criterion_09_backend_agreement():
     queries = [q for q, _ in _sanity_queries()] + GRID + \
         [q for q, _ in SPLIT_CASES]
     for q in queries:
-        exact = dimension(q, memo=MEMO)
+        exact = dimension(q)
         res = closed_formula_float(q)
         ok = ok and abs(exact - res.value) / max(1, abs(exact)) < 1e-6
         ok = ok and res.float_residual < 1e-6
@@ -279,8 +276,7 @@ def test_criterion_10_structural_invariants():
         res = closed_formula_exact(q)
         ok = ok and isinstance(res.value, int) and res.value >= 0
         shifted = query(q.genus, q.degree + q.rank, q.omega)
-        ok = ok and dimension(shifted, memo=MEMO) == \
-            dimension(q, memo=MEMO)
+        ok = ok and dimension(shifted) == dimension(q)
         if q.omega.points:
             p = q.omega.points[0]
             if p.weights[-1] < q.level:
@@ -292,8 +288,8 @@ def test_criterion_10_structural_invariants():
             if moved is not None:
                 omega2 = q.omega.replace_point(
                     p.label, MarkedPoint(p.label, p.flag, moved))
-                ok = ok and dimension(query(q.genus, q.degree, omega2),
-                                      memo=MEMO) == dimension(q, memo=MEMO)
+                ok = ok and dimension(query(q.genus, q.degree, omega2)) \
+                    == dimension(q)
         if not ok:
             print(f"  first failure at {q}")
             break

@@ -76,17 +76,7 @@ def test_dim_json_output(tmp_path, capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == 3
-    assert payload["backend"] == "exact"
     assert payload["cache"] == "computed"
-
-
-def test_dim_float_backend(tmp_path, capsys):
-    rc = main(["dim", write_doc(tmp_path, BARE_DOC), "--backend", "float",
-               "--json"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["value"] == 3
-    assert payload["float_residual"] < 1e-9
 
 
 def test_dim_invalid_document(tmp_path, capsys):
@@ -115,13 +105,10 @@ def test_dim_internal_error_exit_code(tmp_path, capsys, monkeypatch):
 
 
 def test_dim_float_refuses_beyond_its_error_bound(tmp_path, capsys):
-    # rounding once printed 36436622194474984 here, with exit 0
+    # float rounding once printed 36436622194474984 here, with exit 0; dim
+    # prints the exact value
     doc = write_doc(tmp_path, {"genus": 5, "rank": 3, "degree": 0,
                                "level": 8})
-    assert main(["dim", doc, "--backend", "float"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "precision exhausted" in captured.err
     assert main(["dim", doc, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["value"] == 36436622194475008
 
@@ -169,17 +156,6 @@ def test_cache_disabled_flag(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["cache"] == "computed"
 
 
-def test_cache_distinguishes_backends(tmp_path, capsys):
-    doc = write_doc(tmp_path, BARE_DOC)
-    cache = str(tmp_path / "cache")
-    main(["dim", doc, "--cache-dir", cache, "--json"])
-    capsys.readouterr()
-    rc = main(["dim", doc, "--cache-dir", cache, "--backend", "float",
-               "--json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["cache"] == "miss"
-
-
 def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     doc = write_doc(tmp_path, BARE_DOC)
     cache = tmp_path / "cache"
@@ -223,10 +199,9 @@ def test_cache_record_value_must_be_nonnegative_int(tmp_path, value):
     # a record with a matching digest is still refused for a bad value
     q, _ = document_to_query(BARE_DOC)
     cache = str(tmp_path / "cache")
-    cli.cache_put(cache, q, "exact", {"value": value, "ell_integral": True,
-                                      "exceptional_case": False,
-                                      "float_residual": None})
-    assert cli.cache_get(cache, q, "exact") is None
+    cli.cache_put(cache, q, {"value": value, "ell_integral": True,
+                             "exceptional_case": False})
+    assert cli.cache_get(cache, q) is None
 
 
 # -- verify ----------------------------------------------------------------
@@ -264,8 +239,8 @@ def test_verify_flags_broken_formula(capsys, monkeypatch):
     # sabotage the recurrence and expect the harness to catch it
     real = verlinde.genus_recurrence_rhs
 
-    def wrong(q, backend="exact", memo=None):
-        return real(q, backend, memo) + 1
+    def wrong(q):
+        return real(q) + 1
 
     monkeypatch.setattr(verlinde, "genus_recurrence_rhs", wrong)
     rc = main(["verify", "genus"] + SMALL)
@@ -286,7 +261,7 @@ def test_verify_broken_backend_detected(capsys, monkeypatch):
 
     def off_by_one(q):
         res = real(q)
-        return type(res)(res.value + 1, res.backend, res.ell_integral,
+        return type(res)(res.value + 1, res.ell_integral,
                          res.exceptional_case, res.float_residual)
 
     monkeypatch.setattr(verlinde, "closed_formula_float", off_by_one)
@@ -401,6 +376,14 @@ def test_table_bad_range(capsys):
     (["verify", "split", "--genus-max", "-1"], "--genus-max"),
     (["verify", "identities", "--rank-max", "0"], "--rank-max"),
     (["verify", "backend", "--level-max", "-3"], "--level-max"),
+    (["verify", "hecke", "--rank-max", "2", "--level-max", "2",
+      "--samples", "-1"], "--samples"),
+    (["verify", "identities", "--pair-level-max", "-5"], "--pair-level-max"),
+    (["verify", "hecke", "--rank-max", "2", "--level-max", "2",
+      "--samples", "0"], "suite hecke"),
+    (["verify", "split", "--genus-max", "1"], "suite split"),
+    (["verify", "genus", "--genus-min", "3", "--genus-max", "2"],
+     "suite genus"),
 ])
 def test_out_of_range_integers_are_input_errors(capsys, argv, option):
     rc = main(argv)
@@ -408,7 +391,9 @@ def test_out_of_range_integers_are_input_errors(capsys, argv, option):
     assert rc == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
-    assert len(lines) == 1 and lines[0].startswith(f"error: {option}:")
+    expected = (f"error: {option} ran no checks" if option.startswith("suite ")
+                else f"error: {option}:")
+    assert len(lines) == 1 and lines[0].startswith(expected)
 
 
 # -- hecke -----------------------------------------------------------------

@@ -75,3 +75,23 @@ def test_readme_library_example():
 def test_demo_runs(demo):
     proc = _run([str(ROOT / "demos" / demo)])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_worker_dim_arguments_parse():
+    # every `dim` argv that bench/worker.py builds, with each computed entry
+    # replaced by a placeholder, must still be accepted by the parser
+    from thetadim import cli
+    tree = ast.parse((ROOT / "bench" / "worker.py").read_text())
+    argvs = [[e.value if isinstance(e, ast.Constant) else "placeholder"
+              for e in node.elts]
+             for node in ast.walk(tree)
+             if isinstance(node, ast.List) and node.elts
+             and isinstance(node.elts[0], ast.Constant)
+             and node.elts[0].value == "dim"]
+    assert len(argvs) == 2
+    parser = cli.build_parser()
+    for argv in argvs:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"bench/worker.py passes {argv}, which dim rejects")

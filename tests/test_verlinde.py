@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from thetadim.cli import _random_point
+from thetadim.cli import _random_point, document_to_query, query_to_document
 from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                closed_formula_exact, closed_formula_float,
                                closed_term, dimension, genus_recurrence_rhs,
@@ -97,7 +97,6 @@ def test_exact_result_is_integer():
     res = closed_formula_exact(bare(2, 3, 2, 1))
     assert isinstance(res.value, int)
     assert res.value >= 0
-    assert res.backend == "exact"
 
 
 def test_float_backend_agrees():
@@ -331,21 +330,21 @@ def test_backend_verify_mode():
 
 
 def test_dimension_memoizes():
+    q = query(1, 0, ParabolicData(3, 2, (pt("p", (2, 1), (0, 1)),)))
+    first = dimension(q)
+    assert dimension(q) == first
+    # a query rebuilt from the same document is the same key
+    rebuilt, _ = document_to_query(query_to_document(q))
+    assert rebuilt is not q
+    assert dimension(rebuilt) == first
+    info = dimension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    # the same query at another degree is another key
+    dimension(query(1, 1, q.omega))
+    info = dimension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
     clear_memo()
-    memo = {}
-    q = bare(2, 3, 2)
-    first = dimension(q, memo=memo)
-    assert len(memo) == 1
-    assert dimension(q, memo=memo) == first
-    assert len(memo) == 1
-
-
-def test_memo_distinguishes_backend():
-    memo = {}
-    q = bare(1, 2, 2)
-    dimension(q, backend="exact", memo=memo)
-    dimension(q, backend="float", memo=memo)
-    assert len(memo) == 2
+    assert dimension.cache_info().currsize == 0
 
 
 def test_canonical_key_ignores_point_order():
