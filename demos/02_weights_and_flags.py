@@ -46,6 +46,6 @@ for m in range(4):
 # bijection computes; a synthetic context stands in for a real surface
 n1 = Fraction(-1)
 ctx = SplitContext(1, 1, (), (), 1, 1, 0, n1, Fraction(0), 2, 2, n1 + 2)
-for mu in enumerate_Qk(2, 2, ctx):
+for mu in enumerate_Qk(2, 2, ctx.n1):
     print("phi", mu, "->", phi(mu, ctx), "-> back",
           phi_inverse(phi(mu, ctx), ctx))

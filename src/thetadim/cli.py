@@ -179,8 +179,8 @@ def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
 # -- result cache ----------------------------------------------------------
 
 
-def _cache_path(cache_dir: str, q: VerlindeQuery) -> str:
-    digest = hashlib.sha256(q.canonical_key().encode()).hexdigest()
+def _cache_path(cache_dir: str, key: str) -> str:
+    digest = hashlib.sha256(key.encode()).hexdigest()
     return os.path.join(cache_dir, digest[:2], digest + ".json")
 
 
@@ -189,10 +189,13 @@ def _record_digest(record: dict) -> str:
         json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def cache_get(cache_dir: str, q: VerlindeQuery):
-    """The cached record for the query, or None when there is none or it is
-    stale, incomplete, malformed or does not match its digest."""
-    path = _cache_path(cache_dir, q)
+def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
+    """The cached value of the query, or None when there is no record or it
+    is stale, incomplete, malformed or does not match its digest.  Fields
+    beyond the four written by `cache_put` are covered by the digest and
+    otherwise ignored."""
+    key = q.canonical_key()
+    path = _cache_path(cache_dir, key)
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -205,23 +208,19 @@ def cache_get(cache_dir: str, q: VerlindeQuery):
         return None
     if data.get("version") != __version__:
         return None
-    if data.get("query_key") != q.canonical_key():
+    if data.get("query_key") != key:
         return None
     value = data.get("value")
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         return None
-    if not isinstance(data.get("ell_integral"), bool) \
-            or not isinstance(data.get("exceptional_case"), bool):
-        return None
-    return data
+    return value
 
 
-def cache_put(cache_dir: str, q: VerlindeQuery, payload: dict):
-    path = _cache_path(cache_dir, q)
+def cache_put(cache_dir: str, q: VerlindeQuery, value: int):
+    key = q.canonical_key()
+    path = _cache_path(cache_dir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
-    record = dict(payload)
-    record["version"] = __version__
-    record["query_key"] = q.canonical_key()
+    record = {"value": value, "version": __version__, "query_key": key}
     record["digest"] = _record_digest(record)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
@@ -286,23 +285,16 @@ def cmd_dim(args) -> int:
     q, _ = load_document(args.document)
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE)
     use_cache = bool(cache_dir) and not args.no_cache
-    if use_cache:
-        hit = cache_get(cache_dir, q)
-        if hit is not None:
-            payload = {"value": hit["value"],
-                       "ell_integral": hit["ell_integral"],
-                       "exceptional_case": hit["exceptional_case"],
-                       "cache": "hit"}
-            _emit(args, payload, _dim_lines(payload))
-            return EXIT_OK
-    res = closed_formula_exact(q)
-    payload = {"value": res.value, "ell_integral": res.ell_integral,
-               "exceptional_case": res.exceptional_case,
-               "cache": "miss" if use_cache else "computed"}
-    if use_cache:
-        cache_put(cache_dir, q, {
-            "value": res.value, "ell_integral": res.ell_integral,
-            "exceptional_case": res.exceptional_case})
+    value = cache_get(cache_dir, q) if use_cache else None
+    if value is not None:
+        cache = "hit"
+    else:
+        value = closed_formula_exact(q)
+        cache = "miss" if use_cache else "computed"
+        if use_cache:
+            cache_put(cache_dir, q, value)
+    payload = {"value": value, "ell_integral": q.ell_integral,
+               "exceptional_case": q.exceptional_case, "cache": cache}
     _emit(args, payload, _dim_lines(payload))
     return EXIT_OK
 
@@ -448,10 +440,7 @@ def cmd_enumerate(args) -> int:
         except (ValueError, ZeroDivisionError) as exc:
             raise DocumentError(
                 [f"--n1: expected a fraction, got {args.n1!r}"]) from exc
-        _at_least("--g1", args.g1, 0)
-        ctx = SplitContext(args.g1, 1, (), (), 1, 1, 0, n1, Fraction(0),
-                           r, k, n1 + r * args.g1)
-        elems = list(enumerate_Qk(r, k, ctx))
+        elems = list(enumerate_Qk(r, k, n1))
     elif args.set == "vvec":
         elems = list(v_vectors(r, k))
     else:
@@ -486,9 +475,8 @@ def cmd_table(args) -> int:
     rows = []
     for g, r, k, d in cells:
         q = VerlindeQuery(g, r, d, ParabolicData(r, k))
-        res = closed_formula_exact(q)
-        rows.append([g, r, k, d, 0, res.value,
-                     "yes" if res.ell_integral else "no"])
+        rows.append([g, r, k, d, 0, closed_formula_exact(q),
+                     "yes" if q.ell_integral else "no"])
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g", "r", "k", "d", "points", "value", "ell_integral"])
     writer.writerows(rows)
@@ -554,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="congruence offset for wkprime")
     p.add_argument("--n1", default="0",
                    help="degree prefactor n1 for qk, as a fraction")
-    p.add_argument("--g1", type=int, default=1, help="first genus for qk")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_enumerate)
 

@@ -32,9 +32,8 @@ from .schur import (alternant_counts, check_v, s_omega, v_vectors,
 from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       build_split_omegas, congruence_offset, ell,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
-                      hecke_basic, hecke_m, hecke_shift, lambda_of_point,
-                      normalize_point, omega_total, phi_inverse,
-                      split_degrees)
+                      hecke_shift, lambda_of_point, normalize_point,
+                      omega_total, phi_inverse, split_degrees)
 
 
 @dataclass(frozen=True)
@@ -54,6 +53,17 @@ class VerlindeQuery:
     def level(self) -> int:
         return self.omega.level
 
+    @property
+    def ell_integral(self) -> bool:
+        """Whether the twisting degree ell is an integer."""
+        return ell(self.omega, self.genus, self.degree).denominator == 1
+
+    @property
+    def exceptional_case(self) -> bool:
+        """The one configuration the closed sum is not certified for."""
+        return (self.genus == 0 and self.degree == 0
+                and len(self.omega.points) == 3)
+
     def canonical_key(self) -> str:
         pts = sorted(
             ({"label": p.label, "flag": list(p.flag), "weights": list(p.weights)}
@@ -62,14 +72,6 @@ class VerlindeQuery:
         doc = {"genus": self.genus, "rank": self.rank, "degree": self.degree,
                "level": self.level, "points": pts}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class VerlindeResult:
-    value: int
-    ell_integral: bool
-    exceptional_case: bool
-    float_residual: float | None = None
 
 
 @dataclass
@@ -104,25 +106,18 @@ def closed_term(q: VerlindeQuery, v) -> CycNum:
     return root_power(N, e) * s * _weyl_inverse_promoted(v, q.genus, r, k)
 
 
-def _is_exceptional(q: VerlindeQuery) -> bool:
-    # the one configuration the closed sum is not certified for
-    return q.genus == 0 and q.degree == 0 and len(q.omega.points) == 3
-
-
 def _prefactor(q: VerlindeQuery) -> Fraction:
     r, k, g, d = q.rank, q.level, q.genus, q.degree
     pref = Fraction(k, r) ** g * Fraction(r * (r + k) ** (r - 1)) ** (g - 1)
     return -pref if (d * (r - 1)) % 2 else pref
 
 
-def closed_formula_exact(q: VerlindeQuery) -> VerlindeResult:
+def closed_formula_exact(q: VerlindeQuery) -> int:
     """The closed sum by multi-modular evaluation."""
-    return VerlindeResult(closed_sum(q, _prefactor(q)),
-                          ell(q.omega, q.genus, q.degree).denominator == 1,
-                          _is_exceptional(q))
+    return closed_sum(q, _prefactor(q))
 
 
-def closed_formula_cyclotomic(q: VerlindeQuery) -> VerlindeResult:
+def closed_formula_cyclotomic(q: VerlindeQuery) -> int:
     """The closed sum in Q(zeta_N): the oracle for the exact backend."""
     r, k = q.rank, q.level
     total = CycNum.zero(r * (r + k))
@@ -133,9 +128,7 @@ def closed_formula_cyclotomic(q: VerlindeQuery) -> VerlindeResult:
         raise EvaluationError(f"dimension came out non-integral: {val}")
     if val < 0:
         raise EvaluationError(f"dimension came out negative: {val}")
-    return VerlindeResult(int(val),
-                          ell(q.omega, q.genus, q.degree).denominator == 1,
-                          _is_exceptional(q))
+    return int(val)
 
 
 def _root(m: int, n: int) -> complex:
@@ -179,9 +172,10 @@ def _float_error_units(r: int, n: int, g: int, points: int) -> int:
     return 32 + points * schur + sines + terms + g + abs(g - 1) + 6
 
 
-def closed_formula_float(q: VerlindeQuery) -> VerlindeResult:
-    """The closed sum in double precision; refuses when its running error
-    bound reaches 0.5, since the rounded value could then be wrong."""
+def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
+    """The closed sum in double precision, rounded, and the distance it was
+    rounded by; refuses when its running error bound reaches 0.5, since the
+    rounded value could then be wrong."""
     r, k, g, d = q.rank, q.level, q.genus, q.degree
     n = r + k
     N = r * n
@@ -214,9 +208,7 @@ def closed_formula_float(q: VerlindeQuery) -> VerlindeResult:
     if error >= 0.5 or residual >= 0.5:
         raise EvaluationError(f"float backend precision exhausted (error bound "
                               f"{error:.3g}, residual {residual:.3g})")
-    return VerlindeResult(value,
-                          ell(q.omega, q.genus, q.degree).denominator == 1,
-                          _is_exceptional(q), residual)
+    return value, residual
 
 
 # -- memoized dimension ----------------------------------------------------
@@ -225,7 +217,7 @@ def closed_formula_float(q: VerlindeQuery) -> VerlindeResult:
 @functools.lru_cache(maxsize=None)
 def dimension(q: VerlindeQuery) -> int:
     """The exact dimension, memoized on the (frozen, hashable) query."""
-    return closed_formula_exact(q).value
+    return closed_formula_exact(q)
 
 
 # bound to the cache itself, so it still clears after `dimension` is rewrapped
@@ -258,7 +250,7 @@ def _check_ctx(q: VerlindeQuery, ctx: SplitContext):
 
 def iter_split_terms(q: VerlindeQuery, ctx: SplitContext):
     _check_ctx(q, ctx)
-    for mu in enumerate_Qk(q.rank, q.level, ctx):
+    for mu in enumerate_Qk(q.rank, q.level, ctx.n1):
         d1, d2 = split_degrees(mu, ctx)
         o1, o2 = build_split_omegas(q.omega, mu, ctx)
         t1 = dimension(VerlindeQuery(ctx.g1, q.rank, int(d1), o1))
@@ -306,33 +298,19 @@ def wprime_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext) -> int:
 def hecke_image(q: VerlindeQuery, label: str, m: int) -> VerlindeQuery:
     """The query with m bottom-block entries at one point wrapped to the top
     and the degree lowered by m.  m = n_1 wraps the whole block."""
-    data = normalize_point(q.omega, label)
-    p = data.point(label)
-    n1 = p.flag[0]
-    if m == n1:
-        if len(p.flag) == 1:
-            pass  # whole-flag wrap: the data is unchanged, only the degree moves
-        else:
-            data, _ = hecke_basic(data, label)
-    elif 1 <= m < n1:
-        data, _ = hecke_m(data, label, m)
-    else:
+    n1 = q.omega.point(label).flag[0]
+    if not 1 <= m <= n1:
         raise ValueError(f"multiplicity must lie in [1, {n1}]")
-    return VerlindeQuery(q.genus, q.rank, q.degree - m, data)
+    return VerlindeQuery(q.genus, q.rank, q.degree - m,
+                         hecke_shift(q.omega, label, m))
 
 
 def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
-    """All m for which hecke_image is defined at the point."""
+    """All m for which hecke_image is defined at the point: every m up to
+    n_1 while the normalized top weight is below the level, none otherwise
+    (a one-block point normalizes to weight 0)."""
     p = normalize_point(q.omega, label).point(label)
-    n1 = p.flag[0]
-    out = []
-    if n1 > 1 and p.weights[-1] < q.level:
-        out.extend(range(1, n1))
-    if len(p.flag) > 1 and p.weights[-1] < q.level:
-        out.append(n1)
-    elif len(p.flag) == 1:
-        out.append(n1)
-    return out
+    return list(range(1, p.flag[0] + 1)) if p.weights[-1] < q.level else []
 
 
 # -- verification ----------------------------------------------------------
@@ -365,9 +343,9 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
         rhs = dimension(hecke_image(q, point, multiplicity))
     elif mode == "backend":
         lhs = dimension(q)
-        oracle = closed_formula_cyclotomic(q).value
+        oracle = closed_formula_cyclotomic(q)
         try:
-            rf = closed_formula_float(q)
+            rhs, float_residual = closed_formula_float(q)
         except EvaluationError as exc:
             # a refused float value proves nothing either way; the exact
             # value must still equal the oracle
@@ -375,12 +353,11 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
                                 float(abs(lhs - oracle)), q,
                                 {"cyclotomic": oracle, "float": "refused",
                                  "float_refusal": str(exc)})
-        rhs = rf.value
-        residual = abs(lhs - rhs) + (rf.float_residual or 0.0)
+        residual = abs(lhs - rhs) + float_residual
         ok = lhs == oracle and residual <= tol * max(1, abs(lhs))
         return VerifyReport("backend", ok, lhs, rhs, residual, q,
                             {"cyclotomic": oracle,
-                             "float_residual": rf.float_residual})
+                             "float_residual": float_residual})
     else:
         raise ValueError(f"unknown mode {mode!r}")
     residual = abs(lhs - rhs)

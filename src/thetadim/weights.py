@@ -227,10 +227,11 @@ def split_degrees(mu: Weight, ctx: SplitContext) -> tuple[Fraction, Fraction]:
     return d1, d2
 
 
-def enumerate_Qk(r: int, k: int, ctx: SplitContext):
-    """The Pk stream filtered by integrality of the first induced degree."""
+def enumerate_Qk(r: int, k: int, n1: Fraction):
+    """The Pk stream filtered by integrality of the first induced degree
+    d1 = n1 + |mu|/k + r(g1 - 1), which depends on n1 alone."""
     for mu in enumerate_Pk(r, k):
-        if split_degrees(mu, ctx)[0].denominator == 1:
+        if (n1 + Fraction(sum(mu), k)).denominator == 1:
             yield mu
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -171,7 +172,7 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
 @pytest.mark.parametrize("edit", [
     lambda rec: rec.update(value=999),
     lambda rec: rec.pop("value"),
-    lambda rec: rec.pop("ell_integral"),
+    lambda rec: rec.pop("query_key"),
     lambda rec: rec.pop("digest"),
     lambda rec: rec.update(digest="0" * 64),
 ], ids=["value-edited", "value-missing", "field-missing", "digest-missing",
@@ -199,9 +200,50 @@ def test_cache_record_value_must_be_nonnegative_int(tmp_path, value):
     # a record with a matching digest is still refused for a bad value
     q, _ = document_to_query(BARE_DOC)
     cache = str(tmp_path / "cache")
-    cli.cache_put(cache, q, {"value": value, "ell_integral": True,
-                             "exceptional_case": False})
+    cli.cache_put(cache, q, value)
     assert cli.cache_get(cache, q) is None
+
+
+def test_record_with_the_old_flag_fields_is_a_hit(tmp_path, capsys):
+    # records once carried ell_integral and exceptional_case as well; with a
+    # matching digest they still read as hits and the flags come from the query
+    q, _ = document_to_query(BARE_DOC)
+    key = q.canonical_key()
+    record = {"value": 3, "ell_integral": True, "exceptional_case": False,
+              "version": cli.__version__, "query_key": key}
+    record["digest"] = hashlib.sha256(
+        json.dumps(record, sort_keys=True).encode()).hexdigest()
+    name = hashlib.sha256(key.encode()).hexdigest()
+    cache = tmp_path / "cache"
+    (cache / name[:2]).mkdir(parents=True)
+    (cache / name[:2] / f"{name}.json").write_text(json.dumps(record))
+    assert main(["dim", write_doc(tmp_path, BARE_DOC), "--cache-dir",
+                 str(cache), "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "value": 3, "ell_integral": True, "exceptional_case": False,
+        "cache": "hit"}
+
+
+THREE_POINTS = [{"label": l, "flag": [1, 1], "weights": [0, 2]}
+                for l in ("p", "q", "s")]
+
+
+@pytest.mark.parametrize("doc, flags", [
+    ({"genus": 0, "rank": 2, "degree": 0, "level": 4,
+      "points": THREE_POINTS}, (True, True)),
+    ({"genus": 1, "rank": 2, "degree": 1, "level": 3}, (False, False)),
+], ids=["exceptional", "ell-not-integral"])
+def test_hit_miss_and_computed_payloads_agree(tmp_path, capsys, doc, flags):
+    path = write_doc(tmp_path, doc)
+    cache = str(tmp_path / "cache")
+    payloads = []
+    for extra in (["--no-cache"], [], []):
+        assert main(["dim", path, "--cache-dir", cache, "--json"] + extra) == 0
+        payloads.append(json.loads(capsys.readouterr().out))
+    assert [p.pop("cache") for p in payloads] == ["computed", "miss", "hit"]
+    assert payloads[0] == payloads[1] == payloads[2]
+    assert (payloads[0]["ell_integral"],
+            payloads[0]["exceptional_case"]) == flags
 
 
 # -- verify ----------------------------------------------------------------
@@ -260,9 +302,8 @@ def test_verify_broken_backend_detected(capsys, monkeypatch):
     real = verlinde.closed_formula_float
 
     def off_by_one(q):
-        res = real(q)
-        return type(res)(res.value + 1, res.ell_integral,
-                         res.exceptional_case, res.float_residual)
+        value, residual = real(q)
+        return value + 1, residual
 
     monkeypatch.setattr(verlinde, "closed_formula_float", off_by_one)
     rc = main(["verify", "backend"] + SMALL)
@@ -368,7 +409,7 @@ def test_table_bad_range(capsys):
     (["enumerate", "pk", "-r", "-1", "-k", "2"], "--rank"),
     (["enumerate", "wk", "-r", "2", "-k", "0"], "--level"),
     (["enumerate", "vvec", "-r", "0", "-k", "2"], "--rank"),
-    (["enumerate", "qk", "-r", "2", "-k", "2", "--g1", "-1"], "--g1"),
+    (["enumerate", "qk", "-r", "2", "-k", "0"], "--level"),
     (["table", "--genus", "-1", "--rank", "2", "--level", "2"], "--genus"),
     (["table", "--genus", "1", "--rank", "0:2", "--level", "2"], "--rank"),
     (["table", "--genus", "1", "--rank", "2", "--level", "0"], "--level"),

@@ -115,7 +115,7 @@ def test_weyl_dimension():
 
 def test_bound_covers_every_value():
     for q in _grid(range(1, 5), range(1, 5), range(0, 4), 2, seed=11):
-        value = closed_formula_exact(q).value
+        value = closed_formula_exact(q)
         assert magnitude_bound(q, _prefactor(q)) >= value
 
 
@@ -125,12 +125,12 @@ def test_agrees_with_cyclotomic_oracle():
         exact = closed_formula_exact(q)
         oracle = closed_formula_cyclotomic(q)
         assert exact == oracle, q
-        exceptional += exact.exceptional_case
+        exceptional += q.exceptional_case
         # every residue of one pass, the witness's included
         N = q.rank * (q.rank + q.level)
         roots = [prime_root(N, i) for i in range(3)]
         assert residues(q, _prefactor(q), roots) == \
-            [oracle.value % p for p, _ in roots], q
+            [oracle % p for p, _ in roots], q
     assert exceptional > 0
 
 
@@ -144,7 +144,7 @@ def test_value_needing_two_primes(monkeypatch):
         return real(q, prefactor, roots)
 
     monkeypatch.setattr(modular, "residues", counted)
-    assert closed_formula_exact(q).value == 36436622194475008
+    assert closed_formula_exact(q) == 36436622194475008
     assert len(calls) == 3 and len(set(calls)) == 3   # two primes, one witness
 
 
@@ -185,9 +185,7 @@ def test_verify_backend_catches_exact_path_off_the_oracle(monkeypatch):
     real = verlinde.closed_formula_exact
 
     def off_by_one(q):
-        res = real(q)
-        return type(res)(res.value + 1, res.ell_integral,
-                         res.exceptional_case, res.float_residual)
+        return real(q) + 1
 
     monkeypatch.setattr(verlinde, "closed_formula_exact", off_by_one)
     q = query(2, 0, ParabolicData(2, 2))

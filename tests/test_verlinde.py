@@ -1,5 +1,6 @@
 import math
 import random
+from itertools import combinations
 
 import pytest
 
@@ -11,8 +12,8 @@ from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                iter_wprime_terms, legal_hecke_multiplicities,
                                query, split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
-from thetadim.weights import (MarkedPoint, ParabolicData, ell, phi,
-                              split_context)
+from thetadim.weights import (MarkedPoint, ParabolicData, hecke_basic,
+                              hecke_m, normalize_point, phi, split_context)
 
 
 def pt(label, flag, weights):
@@ -94,30 +95,29 @@ def test_query_validation():
 
 
 def test_exact_result_is_integer():
-    res = closed_formula_exact(bare(2, 3, 2, 1))
-    assert isinstance(res.value, int)
-    assert res.value >= 0
+    value = closed_formula_exact(bare(2, 3, 2, 1))
+    assert isinstance(value, int)
+    assert value >= 0
 
 
 def test_float_backend_agrees():
     for args in ((1, 2, 2, 0), (2, 2, 1, 1), (2, 2, 2, 0), (1, 3, 2, 2)):
         exact = closed_formula_exact(bare(*args))
-        approx = closed_formula_float(bare(*args))
-        assert exact.value == approx.value
-        assert approx.float_residual is not None
-        assert approx.float_residual < 1e-6
+        approx, residual = closed_formula_float(bare(*args))
+        assert exact == approx
+        assert isinstance(residual, float)
+        assert residual < 1e-6
 
 
 def test_result_flags():
-    res = closed_formula_exact(query(1, 1, ParabolicData(2, 3)))  # ell = 3/2
-    assert not res.ell_integral
-    assert closed_formula_exact(bare(1, 2, 2)).ell_integral
+    assert not query(1, 1, ParabolicData(2, 3)).ell_integral  # ell = 3/2
+    assert bare(1, 2, 2).ell_integral
 
     three = ParabolicData(2, 2, (pt("p", (1, 1), (0, 1)),
                                  pt("q", (1, 1), (0, 1)),
                                  pt("s", (1, 1), (0, 1))))
-    assert closed_formula_exact(query(0, 0, three)).exceptional_case
-    assert not closed_formula_exact(query(1, 0, three)).exceptional_case
+    assert query(0, 0, three).exceptional_case
+    assert not query(1, 0, three).exceptional_case
 
 
 # -- recurrences -----------------------------------------------------------
@@ -244,6 +244,56 @@ def test_legal_hecke_multiplicities():
     assert legal_hecke_multiplicities(query(1, 0, full), "p") == [1, 2]
 
 
+def _compositions(r):
+    if r == 0:
+        yield ()
+        return
+    for first in range(1, r + 1):
+        for rest in _compositions(r - first):
+            yield (first,) + rest
+
+
+def _hecke_image_by_moves(q, label, m):
+    # the image built from one weight-level move: a whole-block wrap (none
+    # on a one-block point) for m = n_1, a partial move below it
+    data = normalize_point(q.omega, label)
+    p = data.point(label)
+    n1 = p.flag[0]
+    if m == n1 and len(p.flag) > 1:
+        data, _ = hecke_basic(data, label)
+    elif 1 <= m < n1:
+        data, _ = hecke_m(data, label, m)
+    elif m != n1:
+        raise ValueError(f"multiplicity must lie in [1, {n1}]")
+    return VerlindeQuery(q.genus, q.rank, q.degree - m, data)
+
+
+def test_hecke_image_agrees_with_the_moves_exhaustively():
+    # every single-point query with r, k <= 5 and top weight up to the
+    # level, every m in [0, n_1 + 1]: the legal list is exactly the m whose
+    # image is defined, and each image is the one the single move builds
+    queries = 0
+    for r in range(1, 6):
+        for k in range(1, 6):
+            for flag in _compositions(r):
+                for weights in combinations(range(k + 1), len(flag)):
+                    q = query(1, 0, ParabolicData(r, k,
+                                                  (pt("p", flag, weights),)))
+                    queries += 1
+                    defined = []
+                    for m in range(flag[0] + 2):
+                        try:
+                            image = hecke_image(q, "p", m)
+                        except ValueError:
+                            with pytest.raises(ValueError):
+                                _hecke_image_by_moves(q, "p", m)
+                            continue
+                        assert image == _hecke_image_by_moves(q, "p", m), (q, m)
+                        defined.append(m)
+                    assert legal_hecke_multiplicities(q, "p") == defined, q
+    assert queries == 912
+
+
 def test_hecke_verify_mode():
     omega = ParabolicData(3, 2, (pt("p", (2, 1), (0, 1)),))
     q = query(1, 1, omega)
@@ -294,9 +344,9 @@ def test_exceptional_case_still_evaluates():
     three = ParabolicData(2, 2, (pt("p", (1, 1), (0, 1)),
                                  pt("q", (1, 1), (0, 1)),
                                  pt("s", (1, 1), (0, 1))))
-    res = closed_formula_exact(query(0, 0, three))
-    assert res.exceptional_case
-    assert isinstance(res.value, int)
+    q = query(0, 0, three)
+    assert q.exceptional_case
+    assert isinstance(closed_formula_exact(q), int)
 
 
 def test_closed_sum_vanishes_when_ell_is_not_integral():
@@ -312,12 +362,11 @@ def test_closed_sum_vanishes_when_ell_is_not_integral():
                         pts = tuple(_random_point(rng, r, k, f"p{i}")
                                     for i in range(n))
                         q = query(g, d, ParabolicData(r, k, pts))
-                        if ell(q.omega, g, d).denominator == 1:
+                        if q.ell_integral:
                             continue
-                        res = closed_formula_exact(q)
-                        assert res.value == 0, q
+                        assert closed_formula_exact(q) == 0, q
                         seen += 1
-                        exceptional += res.exceptional_case
+                        exceptional += q.exceptional_case
     assert seen > 400 and exceptional > 0
 
 
@@ -354,5 +403,5 @@ def test_canonical_key_ignores_point_order():
 
 
 def test_float_residual_is_tiny_on_honest_input():
-    res = closed_formula_float(bare(2, 3, 1, 1))
-    assert res.float_residual < 1e-9
+    _, residual = closed_formula_float(bare(2, 3, 1, 1))
+    assert residual < 1e-9

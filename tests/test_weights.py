@@ -114,10 +114,10 @@ def test_wk_prime_filter():
 
 def test_qk_filter():
     ctx = synthetic_ctx(2, 2, -1)
-    assert list(enumerate_Qk(2, 2, ctx)) == [(0, 0), (1, 1)]
+    assert list(enumerate_Qk(2, 2, ctx.n1)) == [(0, 0), (1, 1)]
     # a context with unreachable integrality gives the empty set
     none_ctx = synthetic_ctx(2, 2, Fraction(1, 3))
-    assert list(enumerate_Qk(2, 2, none_ctx)) == []
+    assert list(enumerate_Qk(2, 2, none_ctx.n1)) == []
 
 
 def test_mu_star():
@@ -378,7 +378,7 @@ def test_phi_bijection_exhaustive():
                 for g1 in (0, 1, 2):
                     ctx = synthetic_ctx(r, k, n1, g1)
                     offset = (k * n1) % r
-                    Qk = list(enumerate_Qk(r, k, ctx))
+                    Qk = list(enumerate_Qk(r, k, ctx.n1))
                     Wp = list(enumerate_Wk_prime(r, k, offset))
                     images = [phi(mu, ctx) for mu in Qk]
                     assert sorted(images) == sorted(Wp)
