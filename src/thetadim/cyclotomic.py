@@ -6,7 +6,8 @@ reduced modulo x**N - 1 only, so a product is a plain cyclic convolution.
 Reduction modulo the N-th cyclotomic polynomial Phi_N is deferred to the
 places that actually need a canonical form: equality tests, inversion, and
 extraction of rational values.  In canonical form every coefficient of index
->= deg(Phi_N) is zero.
+>= deg(Phi_N) is zero.  One monic long division builds Phi_N, gives the
+canonical form as a remainder, and drives the extended Euclid inverse.
 
 Values are immutable; share them freely across threads.
 """
@@ -58,20 +59,20 @@ class IntPoly:
         return acc
 
 
-def _int_poly_exact_div(num: list[int], den: list[int]) -> list[int]:
-    # long division by a monic divisor; remainder must vanish
-    assert den[-1] == 1
-    num = list(num)
-    q = [0] * (len(num) - len(den) + 1)
-    for shift in range(len(q) - 1, -1, -1):
-        c = num[shift + len(den) - 1]
-        q[shift] = c
+def _divmod_monic(a, b) -> tuple[list, list]:
+    """(quotient, remainder) of a by a monic b, lowest degree first.  No
+    coefficient is ever divided, so integer inputs stay integers.  The
+    remainder is not trimmed: it keeps min(len(a), deg(b)) entries."""
+    deg = len(b) - 1
+    tail = [(j, c) for j, c in enumerate(b[:deg]) if c]
+    rem = list(a)
+    quot = [0] * max(len(rem) - deg, 0)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem.pop()
         if c:
-            for j, d in enumerate(den):
-                num[shift + j] -= c * d
-    if any(num):
-        raise ArithmeticError("division was not exact")
-    return q
+            for j, d in tail:
+                rem[shift + j] -= c * d
+    return quot, rem
 
 
 @functools.lru_cache(maxsize=None)
@@ -79,31 +80,13 @@ def cyclotomic_polynomial(N: int) -> IntPoly:
     """N-th cyclotomic polynomial: divide x**N - 1 by Phi_d for proper d | N."""
     if N < 1:
         raise ValueError("order must be >= 1")
-    if N == 1:
-        return IntPoly((-1, 1))
     poly = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
-            poly = _int_poly_exact_div(poly, list(cyclotomic_polynomial(d).coeffs))
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d).coeffs)
+            if any(rem):
+                raise ArithmeticError("division was not exact")
     return IntPoly(tuple(poly))
-
-
-@functools.lru_cache(maxsize=None)
-def _reduction_rows(N: int):
-    """x**i mod Phi_N for deg(Phi_N) <= i < N, as integer tuples of length deg."""
-    phi = cyclotomic_polynomial(N).coeffs
-    deg = len(phi) - 1
-    base = tuple(-c for c in phi[:deg])  # x**deg == base, since Phi_N is monic
-    rows = []
-    cur = list(base)
-    for _ in range(deg, N):
-        rows.append(tuple(cur))
-        top = cur[deg - 1]
-        cur = [0] + cur[: deg - 1]
-        if top:
-            for j in range(deg):
-                cur[j] += top * base[j]
-    return deg, tuple(rows)
 
 
 class CycNum:
@@ -217,17 +200,12 @@ class CycNum:
     def canonical(self) -> tuple:
         """Coefficients reduced modulo Phi_N, padded with zeros to length N."""
         if self._canon is None:
-            deg, rows = _reduction_rows(self.order)
-            low = list(self.coeffs[:deg])
-            for i in range(deg, self.order):
-                c = self.coeffs[i]
-                if c:
-                    row = rows[i - deg]
-                    for j in range(deg):
-                        if row[j]:
-                            low[j] += c * row[j]
-            low.extend([_ZERO] * (self.order - deg))
-            self._canon = tuple(low)
+            # divide integer numerators over one common denominator
+            den = math.lcm(*(c.denominator for c in self.coeffs))
+            nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+            _, low = _divmod_monic(nums, cyclotomic_polynomial(self.order).coeffs)
+            low += [0] * (self.order - len(low))
+            self._canon = tuple(Fraction(c, den) if c else _ZERO for c in low)
         return self._canon
 
     def is_zero(self) -> bool:
@@ -246,9 +224,8 @@ class CycNum:
     __hash__ = None  # cross-order equality makes a consistent hash awkward
 
     def __repr__(self):
-        deg, _ = _reduction_rows(self.order)
         parts = []
-        for i, c in enumerate(self.canonical()[:deg]):
+        for i, c in enumerate(self.canonical()):
             if c:
                 parts.append(f"{c}*z^{i}" if i else f"{c}")
         body = " + ".join(parts) if parts else "0"
@@ -257,24 +234,24 @@ class CycNum:
     # -- field operations --------------------------------------------------
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse, by the extended Euclid algorithm against Phi_N."""
+        """Multiplicative inverse, by the extended Euclid algorithm against Phi_N
+        with every divisor made monic (von zur Gathen and Gerhard, *Modern
+        Computer Algebra*, ch. 3).  Phi_N is irreducible, so the remainders
+        reach the constant 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        N = self.order
-        deg, _ = _reduction_rows(N)
-        a = list(self.canonical()[:deg])
-        m = [Fraction(c) for c in cyclotomic_polynomial(N).coeffs]
-        # invariant: r_i = m*u_i + a*t_i, only t tracked
-        r0, t0 = m, []
-        r1, t1 = _poly_trim(a), [_ONE]
-        while _poly_deg(r1) > 0:
-            q, rem = _poly_divmod(r0, r1)
-            r0, t0, r1, t1 = r1, t1, rem, _poly_sub(t0, _poly_mul(q, t1))
-        if not r1:
-            raise ZeroDivisionError("value shares a factor with the modulus")
-        scale = _ONE / r1[0]
-        inv = [c * scale for c in t1]
-        return CycNum(N, inv)
+        # invariant: r_i == t_i * self modulo Phi_N
+        r0, t0 = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs], []
+        r1, t1 = _poly_trim(list(self.canonical())), [_ONE]
+        while True:
+            lead = r1[-1]
+            if lead != 1:
+                r1 = [c / lead for c in r1]
+                t1 = [c / lead for c in t1]
+            if len(r1) == 1:
+                return CycNum(self.order, t1)
+            q, rem = _divmod_monic(r0, r1)
+            r0, t0, r1, t1 = r1, t1, _poly_trim(rem), _poly_sub(t0, _poly_mul(q, t1))
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta**i -> zeta**(N-i)."""
@@ -329,10 +306,6 @@ def _poly_trim(p: list) -> list:
     return p
 
 
-def _poly_deg(p: list) -> int:
-    return len(p) - 1
-
-
 def _poly_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
     out = [_ZERO] * n
@@ -353,20 +326,3 @@ def _poly_mul(a: list, b: list) -> list:
                 if bj:
                     out[i + j] += ai * bj
     return _poly_trim(out)
-
-
-def _poly_divmod(a: list, b: list) -> tuple[list, list]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    if len(a) < len(b):
-        return [], _poly_trim(a)
-    q = [_ZERO] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for shift in range(len(q) - 1, -1, -1):
-        c = a[shift + len(b) - 1] / lead
-        q[shift] = c
-        if c:
-            for j, d in enumerate(b):
-                a[shift + j] -= c * d
-    return _poly_trim(q), _poly_trim(a)

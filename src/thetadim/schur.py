@@ -164,39 +164,33 @@ def _sin_sq_product(v, n: int) -> CycNum:
 def weyl_denominator(v, g: int, r: int, k: int) -> CycNum:
     """Product over pairs of (2 sin)**2 raised to g - 1; the genus-zero case
     returns the inverse of the product."""
-    v = check_v(v, r, k)
-    prod = _sin_sq_product(v, r + k)
-    if g == 1:
-        return CycNum.one(r + k)
-    if g == 0:
-        return prod.inverse()
-    return prod ** (g - 1)
+    return _sin_sq_product(check_v(v, r, k), r + k) ** (g - 1)
 
 
 # -- orthogonality residuals ----------------------------------------------
 
 
-def identity_52_check(v, r: int, k: int) -> CycNum:
-    """Residual of the dual-pairing sum over the open weight set; zero iff
-    the identity holds at this summation vector."""
+def _dual_pairing_residual(weights, factor: int, v, r: int, k: int) -> CycNum:
+    """sum over mu of S_mu S_mu* at v, minus zeta**(k|v|) factor n**(r-1)
+    over the sine product."""
     v = check_v(v, r, k)
     n = r + k
     lhs = CycNum.zero(n)
-    for mu in enumerate_Pk(r, k):
+    for mu in weights(r, k):
         lhs = lhs + schur_at(mu, v, r, k) * schur_at(mu_star(mu, k), v, r, k)
-    rhs = root_power(n, k * sum(v)) * (k * n ** (r - 1)) * _sin_sq_product(v, n).inverse()
+    rhs = root_power(n, k * sum(v)) * (factor * n ** (r - 1)) * _sin_sq_product(v, n).inverse()
     return lhs - rhs
+
+
+def identity_52_check(v, r: int, k: int) -> CycNum:
+    """Residual of the dual-pairing sum over the open weight set; zero iff
+    the identity holds at this summation vector."""
+    return _dual_pairing_residual(enumerate_Pk, k, v, r, k)
 
 
 def identity_53_check(v, r: int, k: int) -> CycNum:
     """Residual of the dual-pairing sum over the closed bottom-zero set."""
-    v = check_v(v, r, k)
-    n = r + k
-    lhs = CycNum.zero(n)
-    for mu in enumerate_Wk(r, k):
-        lhs = lhs + schur_at(mu, v, r, k) * schur_at(mu_star(mu, k), v, r, k)
-    rhs = root_power(n, k * sum(v)) * (r * n ** (r - 1)) * _sin_sq_product(v, n).inverse()
-    return lhs - rhs
+    return _dual_pairing_residual(enumerate_Wk, r, v, r, k)
 
 
 def identity_54_check(v, vp, r: int, k: int) -> CycNum:

@@ -91,8 +91,8 @@ def query(g: int, d: int, omega: ParabolicData) -> VerlindeQuery:
 
 @functools.lru_cache(maxsize=None)
 def _weyl_inverse_promoted(v, g: int, r: int, k: int) -> CycNum:
-    N = r * (r + k)
-    return weyl_denominator(v, g, r, k).promote(N).inverse()
+    # the inverse of sines**(g - 1) is sines**(1 - g): invert at order n, if at all
+    return weyl_denominator(v, 2 - g, r, k).promote(r * (r + k))
 
 
 def closed_term(q: VerlindeQuery, v) -> CycNum:
@@ -197,9 +197,7 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
                 den *= (2.0 * math.sin(math.pi * (v[i] - v[j]) / n)) ** (2 * (g - 1))
         total += term / den
         size += term_size / den
-    pref = (k / r) ** g * float(r * n ** (r - 1)) ** (g - 1)
-    if (d * (r - 1)) % 2:
-        pref = -pref
+    pref = float(_prefactor(q))
     total *= pref
     value = round(total.real)
     residual = abs(total - value)

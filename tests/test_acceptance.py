@@ -5,7 +5,6 @@ asserts exact equality unless a tolerance is part of the criterion.
 """
 
 import itertools
-import math
 import random
 import time
 from fractions import Fraction

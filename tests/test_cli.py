@@ -8,7 +8,7 @@ import thetadim.verlinde as verlinde
 from thetadim.cli import (DocumentError, document_to_query, main,
                           query_to_document)
 from thetadim.verlinde import EvaluationError, dimension, query
-from thetadim.weights import MarkedPoint, ParabolicData
+from thetadim.weights import ParabolicData
 
 
 BARE_DOC = {"genus": 1, "rank": 2, "degree": 0, "level": 2, "points": []}

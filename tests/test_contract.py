@@ -2,7 +2,8 @@
 
 The benchmark harness, the README and the demos call into the package but
 are not covered by the other tests; a renamed or deleted name would only
-show when they run.
+show when they run.  The last test keeps every module free of imports it
+never reads.
 """
 
 import ast
@@ -95,3 +96,25 @@ def test_worker_dim_arguments_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"bench/worker.py passes {argv}, which dim rejects")
+
+
+def _unused_imports(path):
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(imported - used)
+
+
+def test_no_unused_imports():
+    # the package's __init__ imports are its exports, so it is exempt
+    paths = [p for pattern in ("src/thetadim/*.py", "tests/*.py", "demos/*.py")
+             for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
+    assert paths
+    unused = {str(p.relative_to(ROOT)): names
+              for p in paths if (names := _unused_imports(p))}
+    assert unused == {}

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,3 +183,20 @@ def test_canonical_is_idempotent():
     first = a.canonical()
     again = CycNum(10, first).canonical()
     assert first == again
+
+
+@pytest.mark.parametrize("N", [30, 60, 84, 105, 210])
+def test_large_orders(N):
+    poly = cyclotomic_polynomial(N)
+    assert poly.degree == totient(N)
+    assert poly(root_power(N, 1)).is_zero()
+    if N == 105:
+        # the first cyclotomic polynomial with a coefficient other than 0, +-1
+        assert min(poly.coeffs) == -2
+    rng = random.Random(N)
+    a = CycNum(N, [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(N)])
+    canon = a.canonical()
+    assert not any(canon[poly.degree:])
+    size = sum(abs(c) for c in a.coeffs) + sum(abs(c) for c in canon)
+    assert abs(CycNum(N, canon).embed() - a.embed()) < 1e-12 * size
+    assert a * a.inverse() == 1

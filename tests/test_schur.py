@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from thetadim.cyclotomic import CycNum, root_power
@@ -7,7 +5,7 @@ from thetadim.schur import (check_v, identity_52_check, identity_53_check,
                             identity_54_check, schur_at, schur_brute, sin_sq,
                             weyl_denominator)
 from thetadim.verlinde import v_vectors
-from thetadim.weights import enumerate_Pk, enumerate_Wk, mu_star
+from thetadim.weights import enumerate_Pk, mu_star
 
 
 def test_check_v():
