@@ -75,7 +75,7 @@ def _divmod_monic(a, b) -> tuple[list, list]:
     return quot, rem
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def cyclotomic_polynomial(N: int) -> IntPoly:
     """N-th cyclotomic polynomial: divide x**N - 1 by Phi_d for proper d | N."""
     if N < 1:

@@ -18,6 +18,34 @@ inverts once.
 No prime is bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1) is a
 unit away from the primes dividing n = r + k, so neither a Vandermonde nor
 a sine product vanishes mod p.  The code still checks before it inverts.
+
+When the twisting number ell is an integer, the sum takes one v per
+rotation orbit of the level alcove, times the orbit's size.  The centre
+Z/r of SU(r) acts on the alcove by rotation, the simple-current action of
+conformal field theory (Schellekens and Yankielowicz, *Simple currents,
+modular invariants and fixed points*, 1990).  With n = r + k, let T move
+the smallest nonzero entry c of v to 0: T v = sort((v_j - c) mod n) =
+(n - c, v_1 - c, ..., v_(r-2) - c, 0), and T**r = id (`schur.v_orbits`).
+Then T multiplies the term of v by zeta_r**twist = exp(2 pi i ell):
+
+- sum(T v) = sum(v) - r c + n, so the twist factor zeta_N**(twist sum(v))
+  gains zeta_N**(twist n) zeta_N**(-twist r c) = zeta_r**twist
+  zeta_n**(c |omega|), because twist = d n - |omega| = -|omega| (mod n);
+- the points zeta_n**(T v) are zeta_n**-c times those of v, and S_lam is
+  symmetric and homogeneous of degree |lam|, so the product of the Schur
+  values gains zeta_n**(-c |omega|); re-sorting permutes the columns of an
+  alternant and of its Vandermonde alike, so the sign cancels in the ratio;
+- the sine product depends only on the differences v_i - v_j;
+- at a point with blocks n_i and weights a_i, summation by parts gives
+  sum n_i a_i = r a_last - jump_sum, so |lam| = r (k - a_last) + jump_sum
+  = jump_sum (mod r); hence twist = d n - |omega| = d k - sum jump_sum =
+  r ell (mod r), as r ell = k (d + r (1 - g)) - sum jump_sum.
+
+Every step is an identity of polynomials in a root of unity of order N, so
+it holds for omega in F_p as for zeta_N.  So twist = 0 (mod r) exactly when
+ell is an integer, and then every term is constant on its orbit.  (When ell
+is not an integer the same law makes each orbit's terms sum to 0; the code
+does not use that.)  Other queries sum every v, each with weight 1.
 """
 
 from __future__ import annotations
@@ -27,7 +55,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
-from .schur import v_vectors
+from .schur import v_orbits, v_vectors
 from .weights import lambda_of_point, omega_total
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -151,7 +179,9 @@ def residues(q, prefactor: Fraction, roots) -> list[int]:
     collecting the alternants' pivots, the Vandermonde per point and the
     sine product when it divides; the terms are summed by cross-multiplying,
     so each prime needs one inversion, taken after checking that the
-    product of all denominators is nonzero."""
+    product of all denominators is nonzero.  With twist = 0 (mod r) the
+    loop runs over one v per orbit, weighted by the orbit's size (see the
+    module docstring); otherwise over every v with weight 1."""
     r, k, g = q.rank, q.level, q.genus
     n = r + k
     N = r * n
@@ -162,7 +192,9 @@ def residues(q, prefactor: Fraction, roots) -> list[int]:
     exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
     sums = [0] * len(roots)
     dens = [1] * len(roots)
-    for v in v_vectors(r, k):
+    terms = v_orbits(r, k) if twist % r == 0 else \
+        [(v, 1) for v in v_vectors(r, k)]
+    for v, weight in terms:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
         t = twist * sum(v) % N
         pairs = [(x[i], x[j]) for i in range(r) for j in range(i + 1, r)]
@@ -171,7 +203,7 @@ def residues(q, prefactor: Fraction, roots) -> list[int]:
         mats = [[itemgetter(*[ei * xj % N for xj in x]) for ei in e]
                 for e in exps]
         for s, (p, powers) in enumerate(roots):
-            num, den = powers[t], 1
+            num, den = weight * powers[t], 1
             if mats:
                 vand = 1
                 for a, b in pairs:

@@ -40,6 +40,34 @@ def v_vectors(r: int, k: int):
         yield tuple(sorted(combo, reverse=True)) + (0,)
 
 
+@functools.lru_cache(maxsize=64)
+def v_orbits(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """The orbits of the level-k alcove under rotation, as (representative,
+    size) pairs in the order of `v_vectors`.
+
+    With n = r + k, a v-vector is r points of Z/n, one of them 0, and its
+    cyclic gap sequence (n - v_1, v_1 - v_2, ..., v_(r-1) - 0) determines
+    it.  The rotation T that moves the smallest nonzero entry c to 0,
+    v -> sort((v_j - c) mod n), shifts the gap sequence cyclically by one
+    place, so T**r = id.  An orbit's representative is the v whose gap
+    sequence is least among its rotations, and its size is the least shift
+    that fixes that sequence, a divisor of r: orbits are found by
+    enumeration, so (2, 0) at r = k = 2, fixed by T, has size 1."""
+    n = r + k
+    out = []
+    for v in v_vectors(r, k):
+        gaps = tuple(a - b for a, b in zip((n,) + v, v))
+        # the first rotation at or below gaps decides: below, v is not its
+        # orbit's representative; equal, gaps repeats with that period
+        for size in range(1, r + 1):
+            rot = gaps[size:] + gaps[:size]
+            if rot <= gaps:
+                break
+        if rot == gaps:
+            out.append((v, size))
+    return tuple(out)
+
+
 def _perm_sign(perm) -> int:
     sign = 1
     seen = [False] * len(perm)
@@ -76,12 +104,12 @@ def vandermonde(v, n: int) -> CycNum:
     return out
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _vandermonde_inverse(v, n: int) -> CycNum:
     return vandermonde(v, n).inverse()
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16384)
 def _schur_cached(lam, v, n: int) -> CycNum:
     r = len(v)
     exps = tuple(lam[i] + r - 1 - i for i in range(r))
@@ -152,7 +180,7 @@ def sin_sq(m: int, n: int) -> CycNum:
     return 2 - root_power(n, m) - root_power(n, -m)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=256)
 def _sin_sq_product(v, n: int) -> CycNum:
     out = CycNum.one(n)
     for i in range(len(v)):

@@ -89,7 +89,7 @@ def query(g: int, d: int, omega: ParabolicData) -> VerlindeQuery:
     return VerlindeQuery(g, omega.rank, d, omega)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=512)
 def _weyl_inverse_promoted(v, g: int, r: int, k: int) -> CycNum:
     # the inverse of sines**(g - 1) is sines**(1 - g): invert at order n, if at all
     return weyl_denominator(v, 2 - g, r, k).promote(r * (r + k))
@@ -212,9 +212,10 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
 # -- memoized dimension ----------------------------------------------------
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=8192)
 def dimension(q: VerlindeQuery) -> int:
-    """The exact dimension, memoized on the (frozen, hashable) query."""
+    """The exact dimension, memoized on the (frozen, hashable) query in a
+    bounded LRU."""
     return closed_formula_exact(q)
 
 

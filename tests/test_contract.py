@@ -98,6 +98,32 @@ def test_worker_dim_arguments_parse():
             pytest.fail(f"bench/worker.py passes {argv}, which dim rejects")
 
 
+def test_caches_are_bounded():
+    # every module cache is an LRU with a size: no lru_cache(maxsize=None),
+    # lru_cache(None) or functools.cache
+    unbounded = []
+    for path in sorted((SRC / "thetadim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                unbounded += [where for a in node.names if a.name == "cache"]
+            elif isinstance(node, ast.Attribute) and node.attr == "cache" \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id == "functools":
+                unbounded.append(where)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "attr", getattr(func, "id", None))
+                if name != "lru_cache":
+                    continue
+                sizes = [kw.value for kw in node.keywords
+                         if kw.arg == "maxsize"] + node.args[:1]
+                if any(isinstance(v, ast.Constant) and v.value is None
+                       for v in sizes):
+                    unbounded.append(where)
+    assert unbounded == []
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

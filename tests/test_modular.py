@@ -10,7 +10,7 @@ from thetadim.cli import main
 from thetadim.modular import (EvaluationError, _det, is_prime,
                               magnitude_bound, prime_root, residues,
                               weyl_dimension)
-from thetadim.schur import _perm_sign
+from thetadim.schur import _perm_sign, v_orbits, v_vectors
 from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
                                closed_formula_exact, query, verify)
 from thetadim.weights import MarkedPoint, ParabolicData
@@ -134,6 +134,18 @@ def test_agrees_with_cyclotomic_oracle():
     assert exceptional > 0
 
 
+@pytest.mark.parametrize("r,k", [(2, 2), (2, 4), (3, 3), (4, 4)])
+def test_orbit_sum_matches_oracle_where_orbits_are_short(r, k):
+    # levels where some rotation orbit is shorter than r, e.g. the fixed
+    # v = (2, 0) at r = k = 2
+    assert any(size < r for _, size in v_orbits(r, k))
+    integral = [q for q in _grid([r], [k], range(3), 3, seed=r * 10 + k)
+                if q.ell_integral]
+    assert len(integral) >= 6
+    for q in integral:
+        assert closed_formula_exact(q) == closed_formula_cyclotomic(q), q
+
+
 def test_value_needing_two_primes(monkeypatch):
     q = query(5, 0, ParabolicData(3, 8))
     calls = []
@@ -249,6 +261,17 @@ def test_vanishing_denominator_raises():
     # factor is zero, so the product of the denominators is
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
     p, powers = prime_root(8, 0)
+    with pytest.raises(EvaluationError, match="vanishes"):
+        residues(q, _prefactor(q), [(p, powers), (p, (1,) * len(powers))])
+
+
+def test_vanishing_denominator_raises_on_the_orbit_sum():
+    # the same trivial root table on a query whose ell is an integer, so
+    # the pass runs over one v per rotation orbit
+    q = query(2, 1, ParabolicData(2, 3, (MarkedPoint("p", (1, 1), (0, 1)),)))
+    assert q.ell_integral
+    assert len(v_orbits(2, 3)) < len(list(v_vectors(2, 3)))
+    p, powers = prime_root(10, 0)
     with pytest.raises(EvaluationError, match="vanishes"):
         residues(q, _prefactor(q), [(p, powers), (p, (1,) * len(powers))])
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from itertools import combinations
@@ -5,6 +6,8 @@ from itertools import combinations
 import pytest
 
 from thetadim.cli import _random_point, document_to_query, query_to_document
+from thetadim.cyclotomic import root_power
+from thetadim.schur import v_orbits
 from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                closed_formula_exact, closed_formula_float,
                                closed_term, dimension, genus_recurrence_rhs,
@@ -13,7 +16,8 @@ from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                query, split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
 from thetadim.weights import (MarkedPoint, ParabolicData, hecke_basic,
-                              hecke_m, normalize_point, phi, split_context)
+                              hecke_m, normalize_point, omega_total, phi,
+                              split_context)
 
 
 def pt(label, flag, weights):
@@ -41,6 +45,45 @@ def test_v_vectors_examples():
     assert list(v_vectors(2, 1)) == [(1, 0), (2, 0)]
     assert list(v_vectors(2, 2)) == [(1, 0), (2, 0), (3, 0)]
     assert list(v_vectors(1, 3)) == [(0,)]
+
+
+def _rotate(v, n):
+    # T: move the smallest nonzero entry to 0 (rank 1 has none: T = id)
+    c = v[-2] if len(v) > 1 else 0
+    return tuple(sorted(((x - c) % n for x in v), reverse=True))
+
+
+def _necklaces(n, r):
+    # Burnside: rotation orbits of the r-subsets of Z/n
+    total = sum(sum(1 for m in range(1, d + 1) if math.gcd(m, d) == 1)
+                * math.comb(n // d, r // d)
+                for d in range(1, r + 1) if n % d == 0 and r % d == 0)
+    assert total % n == 0
+    return total // n
+
+
+def test_v_orbits_partition_the_v_vectors():
+    for r in range(1, 7):
+        for k in range(1, 7):
+            n = r + k
+            orbits = v_orbits(r, k)
+            assert sum(size for _, size in orbits) == math.comb(n - 1, r - 1)
+            assert len(orbits) == _necklaces(n, r)
+            seen = []
+            for rep, size in orbits:
+                orbit = [rep]
+                while (w := _rotate(orbit[-1], n)) != rep:
+                    orbit.append(w)
+                assert len(orbit) == size and r % size == 0
+                seen.extend(orbit)
+            assert sorted(seen) == sorted(v_vectors(r, k))
+
+
+def test_v_orbits_small_orbits():
+    # (2, 0) at r = k = 2 is fixed: its orbit has size 1, not r
+    assert v_orbits(2, 2) == (((2, 0), 1), ((3, 0), 2))
+    assert v_orbits(1, 3) == (((0,), 1),)
+    assert ((4, 2, 0), 1) in v_orbits(3, 3)
 
 
 # -- closed formula --------------------------------------------------------
@@ -349,9 +392,35 @@ def test_exceptional_case_still_evaluates():
     assert isinstance(closed_formula_exact(q), int)
 
 
+def test_rotation_multiplies_each_term_by_zeta_r_to_the_twist():
+    # the law the orbit sum of thetadim.modular rests on, in Q(zeta_N), over
+    # r, k <= 4, g <= 2, every degree and 0-3 seeded points, so the
+    # exceptional genus-0 case is among them
+    rng = random.Random(10)
+    integral = exceptional = 0
+    for r in range(1, 5):
+        for k in range(1, 5):
+            n = r + k
+            N = r * n
+            for g, d, npts in itertools.product(range(3), range(r), range(4)):
+                pts = tuple(_random_point(rng, r, k, f"p{i}")
+                            for i in range(npts))
+                q = query(g, d, ParabolicData(r, k, pts))
+                twist = (d * n - omega_total(q.omega)) % N
+                assert (twist % r == 0) == q.ell_integral, q
+                factor = root_power(N, n * twist)       # zeta_r**twist
+                terms = {v: closed_term(q, v) for v in v_vectors(r, k)}
+                for v, term in terms.items():
+                    assert terms[_rotate(v, n)] == factor * term, (q, v)
+                integral += q.ell_integral
+                exceptional += q.exceptional_case
+    assert integral > 100 and exceptional > 0
+
+
 def test_closed_sum_vanishes_when_ell_is_not_integral():
-    # an observation over a grid, not yet a proof: every query whose
-    # twisting degree ell is not an integer has a closed sum of 0
+    # every query whose twisting degree ell is not an integer has a closed
+    # sum of 0; the rotation law of thetadim.modular implies it, but the
+    # code still evaluates the sum
     rng = random.Random(6)
     seen = exceptional = 0
     for r in range(1, 5):
