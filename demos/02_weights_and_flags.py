@@ -4,9 +4,8 @@ from fractions import Fraction
 
 from thetadim.weights import (MarkedPoint, ParabolicData, SplitContext,
                               enumerate_Pk, enumerate_Qk, enumerate_Wk,
-                              enumerate_Wk_prime, h_closed, hecke_basic,
-                              hecke_m, lambda_of_point, mu_star, phi,
-                              phi_inverse)
+                              enumerate_Wk_prime, h_closed, hecke_shift,
+                              lambda_of_point, mu_star, phi, phi_inverse)
 
 r, k = 3, 2
 
@@ -26,18 +25,14 @@ omega = ParabolicData(3, 2, (MarkedPoint("p", (2, 1), (0, 1)),))
 p = omega.point("p")
 print("point p:", p.flag, p.weights, " partition:", lambda_of_point(p, k))
 
-# a full move wraps the whole bottom flag block and costs degree n_1
-moved, shift = hecke_basic(omega, "p")
-print("full move:  ", moved.point("p").flag, moved.point("p").weights,
-      " degree shift", shift)
+# s moves at a point lower the degree by s: s = n_1 = 2 wraps the whole
+# bottom flag block, s = 1 peels one entry off it and parks it at the level
+for name, s in (("full move:  ", 2), ("partial move:", 1)):
+    moved = hecke_shift(omega, "p", s).point("p")
+    print(name, moved.flag, moved.weights, " degree shift", -s)
 
-# a partial move peels m entries off and parks them at the level
-partial, shift = hecke_m(omega, "p", 1)
-print("partial move:", partial.point("p").flag, partial.point("p").weights,
-      " degree shift", shift)
-
-# on weights alone the same move is a rotation; h_closed gives the m-th
-# iterate in closed form
+# the moves are the rotation of the point's entries (each weight repeated
+# by its block size); h_closed gives the m-th iterate in closed form
 mu = (2, 1, 0)
 for m in range(4):
     print(f"rotation^{m} of {mu} ->", h_closed(mu, k, m))

@@ -112,7 +112,7 @@ def document_to_query(doc) -> tuple[VerlindeQuery, SplitContext | None]:
             flag = _int_list(flag, f"{path}flag", errors)
         if weights is not None:
             weights = _int_list(weights, f"{path}weights", errors)
-        if label and flag and weights is not None:
+        if label is not None and flag is not None and weights is not None:
             points.append((label, flag, weights))
     if errors:
         raise DocumentError(errors)
@@ -355,6 +355,9 @@ def cmd_verify(args) -> int:
     _at_least("--genus-max", args.genus_max, 0)
     _at_least("--pair-level-max", args.pair_level_max, 0)
     _at_least("--samples", args.samples, 0)
+    if not 0 <= args.tol < math.inf:
+        raise DocumentError(
+            [f"--tol: must be finite and nonnegative, got {args.tol}"])
     suites = (["identities", "genus", "split", "wprime", "hecke", "backend"]
               if args.suite == "all" else [args.suite])
     counts = {}

@@ -245,15 +245,11 @@ def _fresh_label(base: str, taken) -> str:
     return label
 
 
-def _point_from_steps(label: str, mu_min: int, ds: list[int], rs: list[int],
-                      rank: int) -> MarkedPoint:
-    # weights: mu_min plus prefix sums of ds; flag: gaps of (rs..., rank)
-    weights = [mu_min]
-    for d in ds:
-        weights.append(weights[-1] + d)
-    bounds = rs + [rank]
-    flag = [bounds[0]] + [bounds[i + 1] - bounds[i] for i in range(len(rs))]
-    return MarkedPoint(label, tuple(flag), tuple(weights))
+def _point_from_entries(label: str, entries: Weight) -> MarkedPoint:
+    # weights: the sorted distinct entries; flag: how often each occurs
+    weights = sorted(set(entries))
+    return MarkedPoint(label, tuple(entries.count(a) for a in weights),
+                       tuple(weights))
 
 
 def build_omega_mu(omega: ParabolicData, mu: Weight) -> ParabolicData:
@@ -267,18 +263,11 @@ def build_omega_mu(omega: ParabolicData, mu: Weight) -> ParabolicData:
         raise ValueError("weight length must equal the rank")
     if any(mu[i] < mu[i + 1] for i in range(r - 1)) or mu[-1] < 0 or mu[0] >= k:
         raise ValueError("weight must be nonincreasing with entries in [0, level)")
-    ds, rs = [], []
-    for i in range(r - 1):
-        if mu[i] > mu[i + 1]:
-            ds.append(mu[i] - mu[i + 1])
-            rs.append(i + 1)
     taken = set(omega.labels())
     lab1 = _fresh_label("x1", taken)
     lab2 = _fresh_label("x2", taken | {lab1})
-    p1 = _point_from_steps(lab1, mu[-1], ds, rs, r)
-    ds2 = list(reversed(ds))
-    rs2 = [r - x for x in reversed(rs)]
-    p2 = _point_from_steps(lab2, mu[-1], ds2, rs2, r)
+    p1 = _point_from_entries(lab1, tuple(mu[0] + mu[-1] - m for m in mu))
+    p2 = _point_from_entries(lab2, mu)
     out = ParabolicData(r, k, omega.points + (p1, p2))
     assert lambda_of_point(p2, k) == mu_star(mu, k)
     return out
@@ -313,66 +302,25 @@ def normalize_point(omega: ParabolicData, label: str) -> ParabolicData:
     return omega.replace_point(label, new)
 
 
-def hecke_basic(omega: ParabolicData, label: str) -> tuple[ParabolicData, int]:
-    """Full Hecke move at a point: the whole bottom-weight block wraps to the
-    top.  Returns the new data and the degree shift (minus the block size)."""
-    p = omega.point(label)
-    l = len(p.flag) - 1
-    if l == 0:
-        raise ValueError(f"point {label}: full move needs at least two weight blocks")
-    k = omega.level
-    a = p.weights
-    if a[-1] - a[0] >= k:
-        # the wrapped block would land on top of the existing top block
-        raise ValueError(f"point {label}: top weight already at the level")
-    new_flag = p.flag[1:] + (p.flag[0],)
-    new_w = (0,) + tuple(a[j + 1] - a[1] + a[0] for j in range(1, l)) \
-        + (k - a[1] + a[0],)
-    new = MarkedPoint(p.label, new_flag, new_w)
-    return omega.replace_point(label, new), -p.flag[0]
-
-
-def hecke_m(omega: ParabolicData, label: str, m: int) -> tuple[ParabolicData, int]:
-    """Partial Hecke move: m of the n_1 bottom-block entries wrap to the top,
-    landing at weight = level.  Requires normalized weights (a_1 = 0)."""
-    p = omega.point(label)
-    k = omega.level
-    if p.weights[0] != 0:
-        raise ValueError(f"point {label}: weights are not normalized (a_1 != 0)")
-    n1 = p.flag[0]
-    if n1 < 2:
-        raise ValueError(f"point {label}: bottom block too small to split")
-    if not 1 <= m < n1:
-        raise ValueError(f"point {label}: multiplicity must lie in [1, {n1 - 1}]")
-    if p.weights[-1] >= k:
-        raise ValueError(f"point {label}: top weight already at the level")
-    new_flag = (n1 - m,) + p.flag[1:] + (m,)
-    new_w = p.weights + (k,)
-    new = MarkedPoint(p.label, new_flag, new_w)
-    return omega.replace_point(label, new), -m
-
-
 def hecke_shift(omega: ParabolicData, label: str, s: int) -> ParabolicData:
     """Apply s single-entry Hecke moves at a point (degree shift -s).
 
-    Greedy: whole blocks wrap while they fit, a partial move finishes the
-    remainder.  A whole-flag wrap on a one-block point changes nothing.
+    A point move is the weight rotation h_step on the point's entries (each
+    weight repeated by its block size): one move wraps a bottom entry to the
+    top, n_1 moves wrap the whole bottom block, and r moves change nothing
+    but the normalization.
     """
     if s < 0:
         raise ValueError("shift must be nonnegative")
     data = normalize_point(omega, label)
-    while s:
-        p = data.point(label)
-        n1 = p.flag[0]
-        if s < n1:
-            data, _ = hecke_m(data, label, s)
-            s = 0
-        elif len(p.flag) == 1:
-            s -= n1
-        else:
-            data, _ = hecke_basic(data, label)
-            s -= n1
-    return data
+    p, k = data.point(label), omega.level
+    if s and p.weights[-1] >= k:
+        raise ValueError(f"point {label}: top weight already at the level")
+    m = s % omega.rank
+    if m == 0:
+        return data
+    mu = h_iter(mu_star(lambda_of_point(p, k), k), k, m)
+    return data.replace_point(label, _point_from_entries(label, mu))
 
 
 # -- the weight-level Hecke maps -------------------------------------------

@@ -81,9 +81,16 @@ def test_dim_json_output(tmp_path, capsys):
 
 
 def test_dim_invalid_document(tmp_path, capsys):
-    rc = main(["dim", write_doc(tmp_path, {"genus": 1})])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    # a point with an empty label or empty flag and weights is refused, not
+    # dropped
+    for doc in ({"genus": 1},
+                dict(BARE_DOC, points=[{"label": "", "flag": [2],
+                                        "weights": [0]}]),
+                dict(BARE_DOC, points=[{"label": "p", "flag": [],
+                                        "weights": []}])):
+        rc = main(["dim", write_doc(tmp_path, doc)])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_dim_malformed_json(tmp_path, capsys):
@@ -425,6 +432,8 @@ def test_table_bad_range(capsys):
     (["verify", "split", "--genus-max", "1"], "suite split"),
     (["verify", "genus", "--genus-min", "3", "--genus-max", "2"],
      "suite genus"),
+    (["verify", "backend", "--tol", "-1"], "--tol"),
+    (["verify", "backend", "--tol", "nan"], "--tol"),
 ])
 def test_out_of_range_integers_are_input_errors(capsys, argv, option):
     rc = main(argv)

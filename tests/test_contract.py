@@ -138,7 +138,8 @@ def _unused_imports(path):
 
 def test_no_unused_imports():
     # the package's __init__ imports are its exports, so it is exempt
-    paths = [p for pattern in ("src/thetadim/*.py", "tests/*.py", "demos/*.py")
+    paths = [p for pattern in ("src/thetadim/*.py", "tests/*.py", "demos/*.py",
+                               "bench/*.py")
              for p in sorted(ROOT.glob(pattern)) if p.name != "__init__.py"]
     assert paths
     unused = {str(p.relative_to(ROOT)): names

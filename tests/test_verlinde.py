@@ -15,8 +15,8 @@ from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                iter_wprime_terms, legal_hecke_multiplicities,
                                query, split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
-from thetadim.weights import (MarkedPoint, ParabolicData, hecke_basic,
-                              hecke_m, normalize_point, omega_total, phi,
+from thetadim.weights import (MarkedPoint, ParabolicData, h_closed,
+                              normalize_point, omega_total, phi,
                               split_context)
 
 
@@ -296,25 +296,27 @@ def _compositions(r):
             yield (first,) + rest
 
 
-def _hecke_image_by_moves(q, label, m):
-    # the image built from one weight-level move: a whole-block wrap (none
-    # on a one-block point) for m = n_1, a partial move below it
+def _hecke_image_by_rotation(q, label, m):
+    # the image from the closed-form rotation of the normalized point's
+    # entries (each weight repeated by its block size, largest first),
+    # regrouped into blocks of equal entries
     data = normalize_point(q.omega, label)
     p = data.point(label)
-    n1 = p.flag[0]
-    if m == n1 and len(p.flag) > 1:
-        data, _ = hecke_basic(data, label)
-    elif 1 <= m < n1:
-        data, _ = hecke_m(data, label, m)
-    elif m != n1:
-        raise ValueError(f"multiplicity must lie in [1, {n1}]")
-    return VerlindeQuery(q.genus, q.rank, q.degree - m, data)
+    if not 1 <= m <= p.flag[0] or p.weights[-1] >= q.level:
+        raise ValueError(f"no move of multiplicity {m} at {label}")
+    entries = sorted((a for n, a in zip(p.flag, p.weights) for _ in range(n)),
+                     reverse=True)
+    moved = h_closed(tuple(entries), q.level, m)
+    weights = sorted(set(moved))
+    new = pt(label, [moved.count(a) for a in weights], weights)
+    return VerlindeQuery(q.genus, q.rank, q.degree - m,
+                         data.replace_point(label, new))
 
 
 def test_hecke_image_agrees_with_the_moves_exhaustively():
     # every single-point query with r, k <= 5 and top weight up to the
     # level, every m in [0, n_1 + 1]: the legal list is exactly the m whose
-    # image is defined, and each image is the one the single move builds
+    # image is defined, and each image is the closed-form rotation's
     queries = 0
     for r in range(1, 6):
         for k in range(1, 6):
@@ -329,9 +331,9 @@ def test_hecke_image_agrees_with_the_moves_exhaustively():
                             image = hecke_image(q, "p", m)
                         except ValueError:
                             with pytest.raises(ValueError):
-                                _hecke_image_by_moves(q, "p", m)
+                                _hecke_image_by_rotation(q, "p", m)
                             continue
-                        assert image == _hecke_image_by_moves(q, "p", m), (q, m)
+                        assert image == _hecke_image_by_rotation(q, "p", m), (q, m)
                         defined.append(m)
                     assert legal_hecke_multiplicities(q, "p") == defined, q
     assert queries == 912

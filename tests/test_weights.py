@@ -8,8 +8,7 @@ from thetadim.weights import (MarkedPoint, ParabolicData, SplitContext,
                               build_omega_mu, build_split_omegas, chi,
                               congruence_offset, ell, enumerate_Pk,
                               enumerate_Qk, enumerate_Wk, enumerate_Wk_prime,
-                              h_closed, h_iter, h_step, hecke_basic, hecke_m,
-                              hecke_shift, jump_sum, jumps, lambda_of_point,
+                              h_closed, h_iter, h_step, hecke_shift, jump_sum, jumps, lambda_of_point,
                               mu_star, n_split, normalize_point, omega_total,
                               phi, phi_inverse, split_context, split_degrees)
 
@@ -200,16 +199,18 @@ def test_build_omega_mu_generic():
 
 
 def test_build_omega_mu_dual_lambda_is_exact():
-    for r, k in ((2, 2), (3, 2), (3, 3), (4, 3)):
-        omega = ParabolicData(r, k)
-        for mu in enumerate_Pk(r, k):
-            out = build_omega_mu(omega, mu)
-            p1, p2 = out.points[-2], out.points[-1]
-            assert lambda_of_point(p2, k) == mu_star(mu, k)
-            # first point carries mu up to a constant vector
-            lam1 = lambda_of_point(p1, k)
-            diff = {a - b for a, b in zip(lam1, mu)}
-            assert len(diff) == 1
+    for r in range(1, 6):
+        for k in range(1, 6):
+            omega = ParabolicData(r, k)
+            for mu in enumerate_Pk(r, k):
+                out = build_omega_mu(omega, mu)
+                p1, p2 = out.points[-2], out.points[-1]
+                assert lambda_of_point(p2, k) == mu_star(mu, k)
+                # first point carries mu up to a constant vector, from mu_r
+                lam1 = lambda_of_point(p1, k)
+                diff = {a - b for a, b in zip(lam1, mu)}
+                assert len(diff) == 1
+                assert p1.weights[0] == mu[-1]
 
 
 def test_build_omega_mu_fresh_labels():
@@ -240,23 +241,16 @@ def test_build_split_omegas_partitions_points():
 # -- Hecke moves -----------------------------------------------------------
 
 def test_hecke_basic_examples():
+    # the basic move: s = n_1 wraps the whole bottom block
     omega = ParabolicData(2, 2, (pt("z", (1, 1), (0, 1)),))
-    out, shift = hecke_basic(omega, "z")
-    assert shift == -1
+    out = hecke_shift(omega, "z", 1)
     assert out.point("z").flag == (1, 1)
     assert out.point("z").weights == (0, 1)
 
     omega = ParabolicData(3, 2, (pt("z", (2, 1), (0, 1)),))
-    out, shift = hecke_basic(omega, "z")
-    assert shift == -2
+    out = hecke_shift(omega, "z", 2)
     assert out.point("z").flag == (1, 2)
     assert out.point("z").weights == (0, 1)
-
-
-def test_hecke_basic_needs_two_blocks():
-    omega = ParabolicData(3, 2, (pt("z", (3,), (0,)),))
-    with pytest.raises(ValueError):
-        hecke_basic(omega, "z")
 
 
 def test_hecke_basic_full_cycle_is_identity():
@@ -265,33 +259,29 @@ def test_hecke_basic_full_cycle_is_identity():
     data = omega
     total = 0
     for _ in range(2):
-        data, s = hecke_basic(data, "z")
-        total += s
+        n1 = data.point("z").flag[0]
+        data = hecke_shift(data, "z", n1)
+        total += n1
     assert data.point("z") == omega.point("z")
-    assert total == -3
+    assert total == 3
+    assert hecke_shift(omega, "z", total) == omega
 
 
 def test_hecke_m_example():
+    # a partial move: m < n_1 bottom entries wrap to the level
     omega = ParabolicData(3, 2, (pt("z", (2, 1), (0, 1)),))
-    out, shift = hecke_m(omega, "z", 1)
-    assert shift == -1
+    out = hecke_shift(omega, "z", 1)
     assert out.point("z").flag == (1, 1, 1)
     assert out.point("z").weights == (0, 1, 2)
 
 
 def test_hecke_m_preconditions():
-    omega = ParabolicData(3, 2, (pt("z", (2, 1), (1, 2)),))
-    with pytest.raises(ValueError):
-        hecke_m(omega, "z", 1)             # not normalized
-    omega = ParabolicData(3, 2, (pt("z", (1, 2), (0, 1)),))
-    with pytest.raises(ValueError):
-        hecke_m(omega, "z", 1)             # bottom block too small
-    omega = ParabolicData(3, 2, (pt("z", (2, 1), (0, 1)),))
-    with pytest.raises(ValueError):
-        hecke_m(omega, "z", 2)             # multiplicity out of range
+    # no move starts from a point whose normalized top weight is the level
     wide = ParabolicData(3, 2, (pt("z", (2, 1), (0, 2)),))
-    with pytest.raises(ValueError):
-        hecke_m(wide, "z", 1)              # already wide
+    for s in (1, 2, 3):
+        with pytest.raises(ValueError, match="already at the level"):
+            hecke_shift(wide, "z", s)
+    assert hecke_shift(wide, "z", 0) == wide
 
 
 def test_normalize_point():
@@ -305,10 +295,9 @@ def test_hecke_shift_matches_moves():
     # s = 1 is a partial move
     out = hecke_shift(omega, "z", 1)
     assert out.point("z").flag == (1, 1, 1)
-    # s = 2 is the full bottom block
-    out2 = hecke_shift(omega, "z", 2)
-    expect, _ = hecke_basic(omega, "z")
-    assert out2.point("z") == expect.point("z")
+    # the moves repeat with period r
+    for s in range(4):
+        assert hecke_shift(omega, "z", s + 3) == hecke_shift(omega, "z", s)
     # s = 0 only normalizes
     assert hecke_shift(omega, "z", 0) == omega
 
