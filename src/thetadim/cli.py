@@ -165,10 +165,20 @@ def query_to_document(q: VerlindeQuery, ctx: SplitContext | None = None) -> dict
     return doc
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats: json would keep the last."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise DocumentError([f"document: duplicate key {key!r}"
+                             for key in doc if keys.count(key) > 1])
+    return doc
+
+
 def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as exc:
         raise DocumentError([f"cannot read {path}: {exc}"]) from exc
     except json.JSONDecodeError as exc:
@@ -292,7 +302,11 @@ def cmd_dim(args) -> int:
         value = closed_formula_exact(q)
         cache = "miss" if use_cache else "computed"
         if use_cache:
-            cache_put(cache_dir, q, value)
+            try:
+                cache_put(cache_dir, q, value)
+            except OSError as exc:
+                source = "--cache-dir" if args.cache_dir else ENV_CACHE
+                raise DocumentError([f"{source}: {exc}"]) from exc
     payload = {"value": value, "ell_integral": q.ell_integral,
                "exceptional_case": q.exceptional_case, "cache": cache}
     _emit(args, payload, _dim_lines(payload))
@@ -466,12 +480,13 @@ def cmd_table(args) -> int:
     _at_least("--genus", genera.start, 0)
     _at_least("--rank", ranks.start, 1)
     _at_least("--level", levels.start, 1)
+    _at_least("--limit", args.limit, 0)
     cells = [(g, r, k, d) for g in genera for r in ranks
              for k in levels for d in degrees]
     est = sum(math.comb(r + k - 1, r - 1) for _, r, k, _ in cells)
     if est > args.limit and not args.force:
-        print(f"estimated term count {est} exceeds the limit {args.limit}; "
-              f"pass --force to run anyway", file=sys.stderr)
+        print(f"error: estimated term count {est} exceeds the limit "
+              f"{args.limit}; pass --force to run anyway", file=sys.stderr)
         return EXIT_INPUT
     if est > 1000:
         print(f"estimated term count: {est}", file=sys.stderr)

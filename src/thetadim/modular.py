@@ -10,14 +10,22 @@ ch. 5).  One more prime, the witness, checks the rebuilt integer.
 
 Every term is a root power, the Schur values of the marked points and a
 sine product, each read from one table of powers of omega.  A Schur value
-is an alternant ratio, its determinant taken by elimination mod p.  One pass
-over the terms serves all primes of a query: the exponent indices are
-built once per term, and each prime sums its terms as fractions and
-inverts once.
+is an alternant ratio, its determinant taken by elimination.  A query's
+primes are known before it starts, so the sum is evaluated once, modulo
+their product M: by the Chinese remainder theorem Z/M is the product of
+the fields F_p, and omega_M, the element that is each prime's omega mod
+that prime, is a root of unity of order N in every factor.  The terms are
+summed as one fraction mod M, inverted once, and the joint residue gives
+every prime's residue and the rebuilt integer at once.
 
 No prime is bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1) is a
 unit away from the primes dividing n = r + k, so neither a Vandermonde nor
 a sine product vanishes mod p.  The code still checks before it inverts.
+Z/M is not a field: an elimination pivot can be nonzero mod M but 0 mod
+one of its primes, about one pivot in 2**61 for each prime, taking its
+residue mod p > 2**60 as spread over [0, p).  That factor then goes into the
+final denominator, which is checked to be prime to M, so such a sum
+raises EvaluationError and never returns a wrong value.
 
 When the twisting number ell is an integer, the sum takes one v per
 rotation orbit of the level alcove, times the orbit's size.  The centre
@@ -42,10 +50,11 @@ Then T multiplies the term of v by zeta_r**twist = exp(2 pi i ell):
   r ell (mod r), as r ell = k (d + r (1 - g)) - sum jump_sum.
 
 Every step is an identity of polynomials in a root of unity of order N, so
-it holds for omega in F_p as for zeta_N.  So twist = 0 (mod r) exactly when
-ell is an integer, and then every term is constant on its orbit.  (When ell
-is not an integer the same law makes each orbit's terms sum to 0; the code
-does not use that.)  Other queries sum every v, each with weight 1.
+it holds for omega in F_p, and so for omega_M mod M, as for zeta_N.  So
+twist = 0 (mod r) exactly when ell is an integer, and then every term is
+constant on its orbit.  (When ell is not an integer the same law makes each
+orbit's terms sum to 0; the code does not use that.)  Other queries sum
+every v, each with weight 1.
 """
 
 from __future__ import annotations
@@ -53,7 +62,6 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from operator import itemgetter
 
 from .schur import v_orbits, v_vectors
 from .weights import lambda_of_point, omega_total
@@ -132,19 +140,36 @@ def prime_root(N: int, i: int) -> tuple[int, tuple[int, ...]]:
     return p, tuple(powers)
 
 
-def _nonzero(x: int, p: int) -> int:
-    if x % p == 0:
+@functools.lru_cache(maxsize=128)
+def joint_root(N: int, count: int) -> tuple[int, tuple[int, ...]]:
+    """The product M of the first count primes of prime_root(N, i), with
+    the powers omega_M**0, ..., omega_M**(N-1) mod M, where omega_M is the
+    Chinese remainder of the primes' elements of order N."""
+    M, omega = 1, 0
+    for i in range(count):
+        p, powers = prime_root(N, i)
+        omega += M * ((powers[1] - omega) * pow(M, -1, p) % p)
+        M *= p
+    powers = [1] * N
+    for m in range(1, N):
+        powers[m] = powers[m - 1] * omega % M
+    return M, tuple(powers)
+
+
+def _nonzero(x: int, M: int) -> int:
+    if math.gcd(x, M) != 1:
         raise EvaluationError(
-            f"a denominator of the closed sum vanishes mod {p}")
+            f"a denominator of the closed sum vanishes mod a prime of {M}")
     return x
 
 
-def _det(rows: list[list[int]], p: int) -> tuple[int, int]:
-    """Determinant mod p as a fraction (num, den), den != 0, by elimination
-    that cross-multiplies rows instead of dividing by the pivot.  With pivot
-    a, each row below with leading entry f != 0 becomes a * row - f * top,
-    which scales the determinant by a; so det = a * det(rest) / a**s for s
-    such rows, and a goes once into num and s times into den."""
+def _det(rows: list[list[int]], M: int) -> tuple[int, int]:
+    """Determinant mod M as a fraction (num, den) by elimination that
+    cross-multiplies rows instead of dividing by the pivot, so it needs no
+    inverse and holds in any residue ring.  With pivot a, each row below
+    with leading entry f != 0 becomes a * row - f * top, which scales the
+    determinant by a; so det = a * det(rest) / a**s for s such rows, and a
+    goes once into num and s times into den."""
     rows = list(rows)
     num = den = 1
     while len(rows) > 1:
@@ -156,32 +181,31 @@ def _det(rows: list[list[int]], p: int) -> tuple[int, int]:
             num = -num
         top = rows[0]
         a, tail = top[0], top[1:]
-        num = num * a % p
+        num = num * a % M
         sub = []
         for row in rows[1:]:
             f = row[0]
             if f:
-                sub.append([(a * x - f * y) % p for x, y in zip(row[1:], tail)])
-                den = den * a % p
+                sub.append([(a * x - f * y) % M for x, y in zip(row[1:], tail)])
+                den = den * a % M
             else:
                 sub.append(row[1:])
         rows = sub
-    return num * rows[0][0] % p, den
+    return num * rows[0][0] % M, den
 
 
-def residues(q, prefactor: Fraction, roots) -> list[int]:
-    """The closed sum of q times prefactor modulo each prime of roots, a
-    list of (p, powers) with zeta_N read as the root of unity whose powers
-    are given, in one pass over the v-vectors.
+def residues(q, prefactor: Fraction, M: int, powers) -> int:
+    """The closed sum of q times prefactor modulo M, with zeta_N read as the
+    root of unity whose powers mod M are given, in one pass over the
+    v-vectors.
 
-    The exponent indices of a term do not depend on p and are built once
-    per v for all primes.  Each term is a fraction num / den mod p, den
-    collecting the alternants' pivots, the Vandermonde per point and the
-    sine product when it divides; the terms are summed by cross-multiplying,
-    so each prime needs one inversion, taken after checking that the
-    product of all denominators is nonzero.  With twist = 0 (mod r) the
-    loop runs over one v per orbit, weighted by the orbit's size (see the
-    module docstring); otherwise over every v with weight 1."""
+    Each term is a fraction num / den mod M, den collecting the alternants'
+    pivots, the Vandermonde per point and the sine product when it divides;
+    the terms are summed by cross-multiplying, so the pass needs one
+    inversion, taken after checking that the product of all denominators
+    is prime to M.  With twist = 0 (mod r) the loop runs over one v per
+    orbit, weighted by the orbit's size (see the module docstring);
+    otherwise over every v with weight 1."""
     r, k, g = q.rank, q.level, q.genus
     n = r + k
     N = r * n
@@ -190,44 +214,37 @@ def residues(q, prefactor: Fraction, roots) -> list[int]:
     # ranks need the points' exponents
     lams = [lambda_of_point(pt, k) for pt in q.omega.points] if r > 1 else []
     exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
-    sums = [0] * len(roots)
-    dens = [1] * len(roots)
+    total, dens = 0, 1
     terms = v_orbits(r, k) if twist % r == 0 else \
         [(v, 1) for v in v_vectors(r, k)]
     for v, weight in terms:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
-        t = twist * sum(v) % N
-        pairs = [(x[i], x[j]) for i in range(r) for j in range(i + 1, r)]
-        sine_pairs = [(a - b, N - a + b) for a, b in pairs]
-        # one getter per alternant row, reading its entries from powers
-        mats = [[itemgetter(*[ei * xj % N for xj in x]) for ei in e]
-                for e in exps]
-        for s, (p, powers) in enumerate(roots):
-            num, den = weight * powers[t], 1
-            if mats:
-                vand = 1
-                for a, b in pairs:
-                    vand = vand * (powers[a] - powers[b]) % p
-                den = pow(vand, len(mats), p)
-                for m in mats:
-                    alt, scale = _det([row(powers) for row in m], p)
-                    num = num * alt % p
-                    den = den * scale % p
-            if g != 1:
-                sines = 1                    # prod of (2 sin)^2 = 2 - a - 1/a
-                for a, b in sine_pairs:
-                    sines = sines * (2 - powers[a] - powers[b]) % p
-                if g:
-                    den = den * pow(sines, g - 1, p) % p
-                else:
-                    num = num * sines % p
-            sums[s] = (sums[s] * den + num * dens[s]) % p
-            dens[s] = dens[s] * den % p
-    out = []
-    for (p, _), total, den in zip(roots, sums, dens):
-        den = _nonzero(den * prefactor.denominator, p)
-        out.append(total * prefactor.numerator * pow(den, -1, p) % p)
-    return out
+        num, den = weight * powers[twist * sum(v) % N], 1
+        if exps:
+            vand = 1
+            for i in range(r):
+                for j in range(i + 1, r):
+                    vand = vand * (powers[x[i]] - powers[x[j]]) % M
+            den = pow(vand, len(exps), M)
+            for e in exps:
+                alt, scale = _det([[powers[ei * xj % N] for xj in x]
+                                   for ei in e], M)
+                num = num * alt % M
+                den = den * scale % M
+        if g != 1:
+            sines = 1                        # prod of (2 sin)^2 = 2 - a - 1/a
+            for i in range(r):
+                for j in range(i + 1, r):
+                    a = x[i] - x[j]
+                    sines = sines * (2 - powers[a] - powers[N - a]) % M
+            if g:
+                den = den * pow(sines, g - 1, M) % M
+            else:
+                num = num * sines % M
+        total = (total * den + num * dens) % M
+        dens = dens * den % M
+    den = _nonzero(dens * prefactor.denominator, M)
+    return total * prefactor.numerator * pow(den, -1, M) % M
 
 
 def weyl_dimension(lam) -> int:
@@ -257,24 +274,22 @@ def magnitude_bound(q, prefactor: Fraction) -> Fraction:
 
 
 def closed_sum(q, prefactor: Fraction) -> int:
-    """The closed sum of q times prefactor, rebuilt from its residues by
-    Chinese remaindering and checked at one witness prime."""
+    """The closed sum of q times prefactor, rebuilt from one residue modulo
+    the product of its value primes and the witness, and checked at the
+    witness prime."""
     N = q.rank * (q.rank + q.level)
     bound = magnitude_bound(q, prefactor)
-    roots, modulus = [], 1
+    count, modulus = 0, 1
     while modulus <= 2 * bound:
-        roots.append(prime_root(N, len(roots)))
-        modulus *= roots[-1][0]
-    roots.append(prime_root(N, len(roots)))     # the witness
-    *found, witness = residues(q, prefactor, roots)
-    value, modulus = 0, 1
-    for (p, _), a in zip(roots, found):
-        value += modulus * ((a - value) * pow(modulus, -1, p) % p)
-        modulus *= p
+        modulus *= prime_root(N, count)[0]
+        count += 1
+    M, powers = joint_root(N, count + 1)        # the witness comes last
+    joint = residues(q, prefactor, M, powers)
+    value = joint % modulus
     if value > modulus // 2:
         value -= modulus
-    p = roots[-1][0]
-    if abs(value) > bound or value % p != witness:
+    p = M // modulus
+    if abs(value) > bound or value % p != joint % p:
         raise EvaluationError(f"the closed sum is not an integer within its "
                               f"bound: the rebuilt value {value} fails the "
                               f"bound or the witness prime {p}")

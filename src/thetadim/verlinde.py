@@ -4,11 +4,11 @@ The closed sum runs over strictly decreasing summation vectors v ending in
 0: a twist times a product of Schur values divided by a Weyl-type sine
 product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
-The exact backend evaluates it modulo primes and rebuilds the integer
-(`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept as its
-oracle.  `dimension` is the exact value, memoized per query.  The float
-backend mirrors the same sum in double precision, bounds its rounding error
-and rounds; it serves only as `verify`'s cross-check.
+The exact backend evaluates it modulo a product of primes and rebuilds the
+integer (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept
+as its oracle.  `dimension` is the exact value, memoized per query.  The
+float backend mirrors the same sum in double precision, bounds its rounding
+error and rounds; it serves only as `verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant rewrites each factor through Hecke moves so the

@@ -82,15 +82,45 @@ def test_dim_json_output(tmp_path, capsys):
 
 def test_dim_invalid_document(tmp_path, capsys):
     # a point with an empty label or empty flag and weights is refused, not
-    # dropped
-    for doc in ({"genus": 1},
-                dict(BARE_DOC, points=[{"label": "", "flag": [2],
-                                        "weights": [0]}]),
-                dict(BARE_DOC, points=[{"label": "p", "flag": [],
-                                        "weights": []}])):
-        rc = main(["dim", write_doc(tmp_path, doc)])
-        assert rc == 2
-        assert "error:" in capsys.readouterr().err
+    # dropped; a repeated key, at the top or inside a point, is refused, not
+    # read as its last value (the genus-3 value 36 once printed here)
+    repeated = json.dumps(BARE_DOC)[:-1] + ', "genus": 3}'
+    in_point = ('{"genus": 1, "rank": 3, "degree": 0, "level": 2, "points": '
+                '[{"label": "p", "flag": [2, 1], "weights": [0, 1], '
+                '"weights": [0, 2]}]}')
+    for doc, duplicate in (
+            ({"genus": 1}, None),
+            (dict(BARE_DOC, points=[{"label": "", "flag": [2],
+                                     "weights": [0]}]), None),
+            (dict(BARE_DOC, points=[{"label": "p", "flag": [],
+                                     "weights": []}]), None),
+            (repeated, "genus"), (in_point, "weights")):
+        path = tmp_path / "q.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        rc = main(["dim", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "error:" in captured.err
+        if duplicate:
+            assert captured.err == \
+                f"error: document: duplicate key {duplicate!r}\n"
+
+
+def test_dim_cache_dir_that_is_a_file_is_an_input_error(tmp_path, capsys,
+                                                        monkeypatch):
+    monkeypatch.delenv("THETADIM_CACHE", raising=False)
+    not_a_dir = tmp_path / "cache"
+    not_a_dir.write_text("")
+    doc = write_doc(tmp_path, BARE_DOC)
+    assert main(["dim", doc, "--cache-dir", str(not_a_dir)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: --cache-dir: ")
+    # the environment variable is named when it set the directory
+    monkeypatch.setenv("THETADIM_CACHE", str(not_a_dir))
+    assert main(["dim", doc]) == 2
+    assert capsys.readouterr().err.startswith("error: THETADIM_CACHE: ")
 
 
 def test_dim_malformed_json(tmp_path, capsys):
@@ -394,6 +424,7 @@ def test_table_cost_guard(capsys):
     rc = main(args)
     captured = capsys.readouterr()
     assert rc == 2
+    assert captured.err.startswith("error: estimated term count")
     assert "exceeds the limit" in captured.err
     assert captured.out == ""
 
@@ -434,6 +465,8 @@ def test_table_bad_range(capsys):
      "suite genus"),
     (["verify", "backend", "--tol", "-1"], "--tol"),
     (["verify", "backend", "--tol", "nan"], "--tol"),
+    (["table", "--genus", "1", "--rank", "2", "--level", "2",
+      "--limit", "-1"], "--limit"),
 ])
 def test_out_of_range_integers_are_input_errors(capsys, argv, option):
     rc = main(argv)

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from itertools import permutations
 
@@ -7,9 +8,9 @@ import pytest
 import thetadim.modular as modular
 import thetadim.verlinde as verlinde
 from thetadim.cli import main
-from thetadim.modular import (EvaluationError, _det, is_prime,
-                              magnitude_bound, prime_root, residues,
-                              weyl_dimension)
+from thetadim.modular import (EvaluationError, _det, _nonzero, is_prime,
+                              joint_root, magnitude_bound, prime_root,
+                              residues, weyl_dimension)
 from thetadim.schur import _perm_sign, v_orbits, v_vectors
 from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
                                closed_formula_exact, query, verify)
@@ -93,6 +94,17 @@ _ORDERS = sorted({r * (r + k) for r, levels in
                  | {r * (r + k) for r in range(1, 5) for k in range(1, 4)})
 
 
+@pytest.mark.parametrize("N", [2, 8, 12, 30])
+def test_joint_root_is_the_crt_of_the_prime_roots(N):
+    for count in range(1, 4):
+        M, powers = joint_root(N, count)
+        primes = [prime_root(N, i) for i in range(count)]
+        assert M == math.prod(p for p, _ in primes)
+        assert len(powers) == N
+        for p, table in primes:
+            assert [x % p for x in powers] == list(table)
+
+
 def test_prime_search_matches_a_plain_scan():
     for N in _ORDERS:
         p = 2 ** 61
@@ -126,11 +138,12 @@ def test_agrees_with_cyclotomic_oracle():
         oracle = closed_formula_cyclotomic(q)
         assert exact == oracle, q
         exceptional += q.exceptional_case
-        # every residue of one pass, the witness's included
+        # the joint residue of one pass gives every prime's residue
         N = q.rank * (q.rank + q.level)
-        roots = [prime_root(N, i) for i in range(3)]
-        assert residues(q, _prefactor(q), roots) == \
-            [oracle % p for p, _ in roots], q
+        joint = residues(q, _prefactor(q), *joint_root(N, 3))
+        for i in range(3):
+            p = prime_root(N, i)[0]
+            assert joint % p == oracle % p, (q, p)
     assert exceptional > 0
 
 
@@ -151,26 +164,29 @@ def test_value_needing_two_primes(monkeypatch):
     calls = []
     real = modular.residues
 
-    def counted(q, prefactor, roots):
-        calls.extend(p for p, _ in roots)
-        return real(q, prefactor, roots)
+    def counted(q, prefactor, M, powers):
+        calls.append(M)
+        return real(q, prefactor, M, powers)
 
     monkeypatch.setattr(modular, "residues", counted)
     assert closed_formula_exact(q) == 36436622194475008
-    assert len(calls) == 3 and len(set(calls)) == 3   # two primes, one witness
+    # one pass, modulo two value primes and one witness, all distinct
+    assert len(calls) == 1
+    primes = [prime_root(3 * 11, i)[0] for i in range(3)]
+    assert len(set(primes)) == 3 and calls[0] == math.prod(primes)
 
 
 def _perturb_witness(monkeypatch, q):
     N = q.rank * (q.rank + q.level)
     # the query needs one prime, so the second one is the witness
     assert 2 * magnitude_bound(q, _prefactor(q)) < prime_root(N, 0)[0]
-    witness = prime_root(N, 1)[0]
+    value_primes = prime_root(N, 0)[0]
     real = modular.residues
 
-    def perturbed(q, prefactor, roots):
-        values = real(q, prefactor, roots)
-        return [(value + 1) % p if p == witness else value
-                for (p, _), value in zip(roots, values)]
+    def perturbed(q, prefactor, M, powers):
+        # adding the value primes' product changes only the witness residue
+        assert M == value_primes * prime_root(N, 1)[0]
+        return (real(q, prefactor, M, powers) + value_primes) % M
 
     monkeypatch.setattr(modular, "residues", perturbed)
 
@@ -237,17 +253,30 @@ def _matrices(rng, p):
             yield [row[:-1] + [0] for row in m]
 
 
-@pytest.mark.parametrize("p", [7, 11, prime_root(12, 0)[0]])
+@pytest.mark.parametrize("p", [7, 11, prime_root(12, 0)[0],
+                               joint_root(12, 2)[0]])
 def test_division_free_det_matches_leibniz(p):
+    # the last modulus is the product of two primes
     rng = random.Random(p)
     singular = 0
     for m in _matrices(rng, p):
         num, den = _det(m, p)
-        assert den % p != 0
+        assert math.gcd(den, p) == 1
         expected = _leibniz(m, p)
         assert num * pow(den, -1, p) % p == expected, m
         singular += expected == 0
     assert singular >= 2 * 5 * 20
+
+
+def test_zero_divisor_pivot_reaches_the_denominator():
+    # a pivot nonzero mod M but 0 mod one of its primes: det = p - 1 is a
+    # unit mod M, but the denominator carries p, and the check refuses it
+    M = joint_root(12, 2)[0]
+    p = prime_root(12, 0)[0]
+    num, den = _det([[p, 1], [1, 1]], M)
+    assert math.gcd(den, M) == p
+    with pytest.raises(EvaluationError, match="vanishes"):
+        _nonzero(den, M)
 
 
 def test_det_leaves_its_input_alone():
@@ -260,9 +289,24 @@ def test_vanishing_denominator_raises():
     # a root table of the trivial character: every Vandermonde and sine
     # factor is zero, so the product of the denominators is
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
-    p, powers = prime_root(8, 0)
+    M, powers = joint_root(8, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q, _prefactor(q), [(p, powers), (p, (1,) * len(powers))])
+        residues(q, _prefactor(q), M, (1,) * len(powers))
+
+
+def test_denominator_vanishing_mod_one_prime_raises():
+    # omega of order N mod the first prime, the trivial character mod the
+    # second: every denominator is a unit mod the first prime and 0 mod
+    # the second, so it is nonzero mod M and still refused
+    q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
+    M, _ = joint_root(8, 2)
+    (p, real), (p2, _) = prime_root(8, 0), prime_root(8, 1)
+    mixed = [a + p * ((1 - a) * pow(p, -1, p2) % p2) for a in real]
+    assert all(x % p == a and x % p2 == 1 for x, a in zip(mixed, real))
+    assert residues(q, _prefactor(q), p, real) == \
+        closed_formula_cyclotomic(q) % p
+    with pytest.raises(EvaluationError, match="vanishes"):
+        residues(q, _prefactor(q), M, mixed)
 
 
 def test_vanishing_denominator_raises_on_the_orbit_sum():
@@ -271,9 +315,9 @@ def test_vanishing_denominator_raises_on_the_orbit_sum():
     q = query(2, 1, ParabolicData(2, 3, (MarkedPoint("p", (1, 1), (0, 1)),)))
     assert q.ell_integral
     assert len(v_orbits(2, 3)) < len(list(v_vectors(2, 3)))
-    p, powers = prime_root(10, 0)
+    M, powers = joint_root(10, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q, _prefactor(q), [(p, powers), (p, (1,) * len(powers))])
+        residues(q, _prefactor(q), M, (1,) * len(powers))
 
 
 def test_verify_backend_survives_a_float_refusal():
