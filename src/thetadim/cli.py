@@ -21,8 +21,9 @@ import os
 import random
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 from . import __version__
 from .cyclotomic import NotRationalError
@@ -53,101 +54,72 @@ class DocumentError(ValueError):
 # -- document format -------------------------------------------------------
 
 
-def _expect(doc, key, kind, path, errors, required=True, default=None):
-    if key not in doc:
-        if required:
-            errors.append(f"{path}{key}: missing")
-        return default
-    val = doc[key]
-    if kind is int and (not isinstance(val, int) or isinstance(val, bool)):
-        errors.append(f"{path}{key}: must be an integer")
-        return default
-    if kind is str and not isinstance(val, str):
-        errors.append(f"{path}{key}: must be a string")
-        return default
-    if kind is list and not isinstance(val, list):
-        errors.append(f"{path}{key}: must be a list")
-        return default
-    if kind is dict and not isinstance(val, dict):
-        errors.append(f"{path}{key}: must be an object")
-        return default
-    return val
+# A table per kind of JSON object: field -> kind, which is int, str, or
+# [item] for a list whose items are ints, strings or objects of a table; a
+# field of kind None is checked by the caller.
+_POINT = {"label": str, "flag": [int], "weights": [int]}
+_QUERY = {"genus": int, "rank": int, "degree": int, "level": int,
+          "points": [_POINT], "split": None}
+_SPLIT = {"g1": int, "g2": int, "I1": [str], "c1": int, "c2": int}
+_OPTIONAL = {"points", "split", "I1"}
+_MUST = {int: "an integer", str: "a string", list: "a list"}
+_ITEMS = {int: "integers", str: "point labels"}
 
 
-def _int_list(val, path, errors):
-    if not isinstance(val, list) or any(
-            not isinstance(x, int) or isinstance(x, bool) for x in val):
-        errors.append(f"{path}: must be a list of integers")
-        return None
-    return val
+def _is(val, kind) -> bool:
+    return isinstance(val, kind) and not isinstance(val, bool)
+
+
+def _check_fields(obj, prefix: str, spec: dict, errors: list) -> None:
+    """Check the JSON object obj, whose fields are named prefix + field, by
+    its table spec; one message per offending field goes to errors."""
+    if not isinstance(obj, dict):
+        errors.append(f"{prefix[:-1]}: must be an object")
+        return
+    errors += [f"{prefix}{k}: unknown field" for k in obj if k not in spec]
+    for key, kind in spec.items():
+        name, shape = prefix + key, list if isinstance(kind, list) else kind
+        if key not in obj or kind is None:
+            if key not in _OPTIONAL:
+                errors.append(f"{name}: missing")
+        elif not _is(obj[key], shape):
+            errors.append(f"{name}: must be {_MUST[shape]}")
+        elif shape is list and isinstance(kind[0], dict):
+            for i, item in enumerate(obj[key]):
+                _check_fields(item, f"{name}[{i}].", kind[0], errors)
+        elif shape is list and not all(_is(v, kind[0]) for v in obj[key]):
+            errors.append(f"{name}: must be a list of {_ITEMS[kind[0]]}")
 
 
 def document_to_query(doc) -> tuple[VerlindeQuery, SplitContext | None]:
     """Validate a parsed document and build the query (and split context)."""
-    errors: list[str] = []
     if not isinstance(doc, dict):
         raise DocumentError(["document: must be a JSON object"])
-    allowed = {"genus", "rank", "degree", "level", "points", "split"}
-    for key in doc:
-        if key not in allowed:
-            errors.append(f"{key}: unknown field")
-    genus = _expect(doc, "genus", int, "", errors)
-    rank = _expect(doc, "rank", int, "", errors)
-    degree = _expect(doc, "degree", int, "", errors)
-    level = _expect(doc, "level", int, "", errors)
-    raw_points = _expect(doc, "points", list, "", errors, required=False, default=[])
-    points = []
-    for i, entry in enumerate(raw_points or []):
-        path = f"points[{i}]."
-        if not isinstance(entry, dict):
-            errors.append(f"points[{i}]: must be an object")
-            continue
-        for key in entry:
-            if key not in {"label", "flag", "weights"}:
-                errors.append(f"{path}{key}: unknown field")
-        label = _expect(entry, "label", str, path, errors)
-        flag = _expect(entry, "flag", list, path, errors)
-        weights = _expect(entry, "weights", list, path, errors)
-        if flag is not None:
-            flag = _int_list(flag, f"{path}flag", errors)
-        if weights is not None:
-            weights = _int_list(weights, f"{path}weights", errors)
-        if label is not None and flag is not None and weights is not None:
-            points.append((label, flag, weights))
+    errors: list[str] = []
+    _check_fields(doc, "", _QUERY, errors)
     if errors:
         raise DocumentError(errors)
     try:
-        omega = ParabolicData(rank, level,
-                              tuple(MarkedPoint(l, tuple(f), tuple(w))
-                                    for l, f, w in points))
-        q = VerlindeQuery(genus, rank, degree, omega)
+        omega = ParabolicData(doc["rank"], doc["level"], tuple(
+            MarkedPoint(p["label"], tuple(p["flag"]), tuple(p["weights"]))
+            for p in doc.get("points", [])))
+        q = VerlindeQuery(doc["genus"], doc["rank"], doc["degree"], omega)
     except ValueError as exc:
         raise DocumentError([str(exc)]) from exc
-    ctx = None
-    if "split" in doc:
-        s = doc["split"]
-        serrors: list[str] = []
-        if not isinstance(s, dict):
-            raise DocumentError(["split: must be an object"])
-        for key in s:
-            if key not in {"g1", "g2", "I1", "c1", "c2"}:
-                serrors.append(f"split.{key}: unknown field")
-        g1 = _expect(s, "g1", int, "split.", serrors)
-        g2 = _expect(s, "g2", int, "split.", serrors)
-        I1 = _expect(s, "I1", list, "split.", serrors, required=False, default=[])
-        c1 = _expect(s, "c1", int, "split.", serrors)
-        c2 = _expect(s, "c2", int, "split.", serrors)
-        if I1 is not None and any(not isinstance(x, str) for x in I1):
-            serrors.append("split.I1: must be a list of point labels")
-        if serrors:
-            raise DocumentError(serrors)
-        if g1 + g2 != genus:
-            raise DocumentError(["split.g1 + split.g2 must equal the genus"])
-        try:
-            ctx = split_context(omega, genus, degree, tuple(I1), g1, c1, c2)
-        except ValueError as exc:
-            raise DocumentError([f"split: {exc}"]) from exc
-    return q, ctx
+    if "split" not in doc:
+        return q, None
+    s = doc["split"]
+    _check_fields(s, "split.", _SPLIT, errors)
+    if errors:
+        raise DocumentError(errors)
+    if s["g1"] + s["g2"] != doc["genus"]:
+        raise DocumentError(["split.g1 + split.g2 must equal the genus"])
+    try:
+        return q, split_context(omega, doc["genus"], doc["degree"],
+                                tuple(s.get("I1", [])), s["g1"], s["c1"],
+                                s["c2"])
+    except ValueError as exc:
+        raise DocumentError([f"split: {exc}"]) from exc
 
 
 def query_to_document(q: VerlindeQuery, ctx: SplitContext | None = None) -> dict:
@@ -169,21 +141,28 @@ def _unique_keys(pairs: list) -> dict:
     """A JSON object, refused when a key repeats: json would keep the last."""
     doc = dict(pairs)
     if len(doc) < len(pairs):
-        keys = [key for key, _ in pairs]
+        counts = Counter(key for key, _ in pairs)
         raise DocumentError([f"document: duplicate key {key!r}"
-                             for key in doc if keys.count(key) > 1])
+                             for key in doc if counts[key] > 1])
     return doc
 
 
-def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
+def _read_json(path: str):
+    """The JSON value in the file at path, read as UTF-8 with no repeated
+    key; a file that cannot be read or decoded is a DocumentError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_pairs_hook=_unique_keys)
+            return json.load(fh, object_pairs_hook=_unique_keys)
+    except DocumentError:
+        raise
     except OSError as exc:
         raise DocumentError([f"cannot read {path}: {exc}"]) from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, JSON or int
         raise DocumentError([f"{path}: invalid JSON ({exc})"]) from exc
-    return document_to_query(doc)
+
+
+def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
+    return document_to_query(_read_json(path))
 
 
 # -- result cache ----------------------------------------------------------
@@ -205,11 +184,9 @@ def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
     beyond the four written by `cache_put` are covered by the digest and
     otherwise ignored."""
     key = q.canonical_key()
-    path = _cache_path(cache_dir, key)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError):
+        data = _read_json(_cache_path(cache_dir, key))
+    except DocumentError:
         return None
     if not isinstance(data, dict):
         return None
@@ -256,12 +233,9 @@ def _at_least(name: str, value: int, low: int) -> None:
 def _parse_range(text: str, name: str) -> range:
     parts = text.split(":")
     try:
-        if len(parts) == 1:
-            a = b = int(parts[0])
-        elif len(parts) == 2:
-            a, b = int(parts[0]), int(parts[1])
-        else:
+        if len(parts) > 2:
             raise ValueError
+        a, b = int(parts[0]), int(parts[-1])
     except ValueError:
         raise DocumentError([f"{name}: expected N or A:B, got {text!r}"])
     if b < a:
@@ -472,6 +446,23 @@ def cmd_enumerate(args) -> int:
     return EXIT_OK
 
 
+def _estimate(ranks, levels, cells_per_pair: int, cap) -> int:
+    """cells_per_pair times the sum of C(r + k - 1, r - 1) over the ranks
+    and levels, stopped as soon as it passes cap."""
+    est = 0
+    for r in ranks:                     # lazy loops: product() would
+        for k in levels:                # materialise both ranges
+            n, j, term = r + k - 1, min(r - 1, k), 1
+            for i in range(1, j + 1):   # term = C(n - j + i, i), increasing
+                term = term * (n - j + i) // i
+                if est + cells_per_pair * term > cap:
+                    break
+            est += cells_per_pair * term
+            if est > cap:
+                return est
+    return est
+
+
 def cmd_table(args) -> int:
     genera = _parse_range(args.genus, "--genus")
     ranks = _parse_range(args.rank, "--rank")
@@ -481,9 +472,8 @@ def cmd_table(args) -> int:
     _at_least("--rank", ranks.start, 1)
     _at_least("--level", levels.start, 1)
     _at_least("--limit", args.limit, 0)
-    cells = [(g, r, k, d) for g in genera for r in ranks
-             for k in levels for d in degrees]
-    est = sum(math.comb(r + k - 1, r - 1) for _, r, k, _ in cells)
+    est = _estimate(ranks, levels, len(genera) * len(degrees),
+                    math.inf if args.force else args.limit)
     if est > args.limit and not args.force:
         print(f"error: estimated term count {est} exceeds the limit "
               f"{args.limit}; pass --force to run anyway", file=sys.stderr)
@@ -491,7 +481,7 @@ def cmd_table(args) -> int:
     if est > 1000:
         print(f"estimated term count: {est}", file=sys.stderr)
     rows = []
-    for g, r, k, d in cells:
+    for g, r, k, d in product(genera, ranks, levels, degrees):
         q = VerlindeQuery(g, r, d, ParabolicData(r, k))
         rows.append([g, r, k, d, 0, closed_formula_exact(q),
                      "yes" if q.ell_integral else "no"])

@@ -120,9 +120,9 @@ def _prime_factors(n: int) -> list[int]:
 
 
 @functools.lru_cache(maxsize=128)
-def prime_root(N: int, i: int) -> tuple[int, tuple[int, ...]]:
-    """The i-th prime p = 1 (mod N) below 2**61, counting down, with the
-    powers omega**0, ..., omega**(N-1) of an element omega of order N."""
+def prime_root(N: int, i: int) -> tuple[int, int]:
+    """The i-th prime p = 1 (mod N) below 2**61, counting down, with an
+    element omega of order exactly N mod p."""
     top = _PRIME_TOP if i == 0 else prime_root(N, i - 1)[0]
     p = (top - 2) // N * N + 1
     while math.gcd(p, _SMALL_PRIMES) != 1 or not is_prime(p):
@@ -132,12 +132,8 @@ def prime_root(N: int, i: int) -> tuple[int, tuple[int, ...]]:
     while True:
         omega = pow(a, (p - 1) // N, p)
         if all(pow(omega, N // f, p) != 1 for f in factors):
-            break
+            return p, omega
         a += 1
-    powers = [1] * N
-    for m in range(1, N):
-        powers[m] = powers[m - 1] * omega % p
-    return p, tuple(powers)
 
 
 @functools.lru_cache(maxsize=128)
@@ -147,8 +143,8 @@ def joint_root(N: int, count: int) -> tuple[int, tuple[int, ...]]:
     Chinese remainder of the primes' elements of order N."""
     M, omega = 1, 0
     for i in range(count):
-        p, powers = prime_root(N, i)
-        omega += M * ((powers[1] - omega) * pow(M, -1, p) % p)
+        p, omega_p = prime_root(N, i)
+        omega += M * ((omega_p - omega) * pow(M, -1, p) % p)
         M *= p
     powers = [1] * N
     for m in range(1, N):

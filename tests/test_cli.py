@@ -1,7 +1,10 @@
 import hashlib
 import json
+import os
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetadim.cli as cli
 import thetadim.verlinde as verlinde
@@ -55,6 +58,41 @@ def test_document_collects_multiple_errors():
     assert len(exc.value.messages) == 2
 
 
+SPLIT_DOC = dict(BARE_DOC, genus=2,
+                 split={"g1": 1, "g2": 1, "I1": [], "c1": 1, "c2": 1})
+
+
+@pytest.mark.parametrize("doc, messages", [
+    ([BARE_DOC], ["document: must be a JSON object"]),
+    (dict(BARE_DOC, genus=True, level=None, points={}),
+     ["genus: must be an integer", "level: must be an integer",
+      "points: must be a list"]),
+    ({"rank": 2, "typo": 1}, ["typo: unknown field", "genus: missing",
+                              "degree: missing", "level: missing"]),
+    (dict(BARE_DOC, points=[[], {"label": 1, "flag": [1, True],
+                                 "weights": [0, "1"], "x": 0}, {}]),
+     ["points[0]: must be an object", "points[1].x: unknown field",
+      "points[1].label: must be a string",
+      "points[1].flag: must be a list of integers",
+      "points[1].weights: must be a list of integers",
+      "points[2].label: missing", "points[2].flag: missing",
+      "points[2].weights: missing"]),
+    (dict(SPLIT_DOC, split=[]), ["split: must be an object"]),
+    # a list's item error comes in the list's place among the fields
+    (dict(SPLIT_DOC, split={"g1": 1.0, "I1": [1], "y": 0}),
+     ["split.y: unknown field", "split.g1: must be an integer",
+      "split.g2: missing", "split.I1: must be a list of point labels",
+      "split.c1: missing", "split.c2: missing"]),
+    # the split block is read only once the query builds
+    (dict(SPLIT_DOC, genus="2", split=[]), ["genus: must be an integer"]),
+], ids=["not-an-object", "field-types", "missing-and-unknown", "points",
+        "split-not-an-object", "split-fields", "split-read-last"])
+def test_document_field_messages(doc, messages):
+    with pytest.raises(DocumentError) as exc:
+        document_to_query(doc)
+    assert exc.value.messages == messages
+
+
 def test_document_rejects_mismatched_point_shape():
     doc = {"genus": 1, "rank": 2, "degree": 0, "level": 2,
            "points": [{"label": "p", "flag": [1, 1], "weights": [0]}]}
@@ -88,16 +126,21 @@ def test_dim_invalid_document(tmp_path, capsys):
     in_point = ('{"genus": 1, "rank": 3, "degree": 0, "level": 2, "points": '
                 '[{"label": "p", "flag": [2, 1], "weights": [0, 1], '
                 '"weights": [0, 2]}]}')
+    # the repeated key among 50,000 must be found in linear time
+    many_keys = "".join(f'"k{i}": 0, ' for i in range(50000)) + repeated[1:]
     for doc, duplicate in (
             ({"genus": 1}, None),
             (dict(BARE_DOC, points=[{"label": "", "flag": [2],
                                      "weights": [0]}]), None),
             (dict(BARE_DOC, points=[{"label": "p", "flag": [],
                                      "weights": []}]), None),
-            (repeated, "genus"), (in_point, "weights")):
+            (repeated, "genus"), (in_point, "weights"),
+            ("{" + many_keys, "genus")):
         path = tmp_path / "q.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        start = time.perf_counter()
         rc = main(["dim", str(path)])
+        assert time.perf_counter() - start < 5
         captured = capsys.readouterr()
         assert rc == 2 and captured.out == ""
         assert "error:" in captured.err
@@ -131,6 +174,26 @@ def test_dim_malformed_json(tmp_path, capsys):
 
 def test_dim_missing_file(capsys):
     assert main(["dim", "/nonexistent/q.json"]) == 2
+
+
+# bytes that are not UTF-8, nesting past the parser's recursion limit, and
+# an integer past Python's 4,300-digit limit on int(): input errors, not
+# internal ones
+UNDECODABLE = [b"\xff\xfe{bad", b"[" * 100000,
+               b'{"genus": 1' + b"0" * 5000 + b', "rank": 2, "degree": 0, '
+               b'"level": 2}']
+
+
+@pytest.mark.parametrize("content", UNDECODABLE,
+                         ids=["not-utf8", "deep-nesting", "long-integer"])
+def test_undecodable_document_is_an_input_error(tmp_path, capsys, content):
+    path = tmp_path / "q.json"
+    path.write_bytes(content)
+    assert main(["dim", str(path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith(f"error: {path}: invalid JSON")
 
 
 def test_dim_internal_error_exit_code(tmp_path, capsys, monkeypatch):
@@ -199,11 +262,15 @@ def test_corrupt_cache_entry_is_recomputed(tmp_path, capsys):
     cache = tmp_path / "cache"
     main(["dim", doc, "--cache-dir", str(cache), "--json"])
     capsys.readouterr()
-    for f in cache.rglob("*.json"):
-        f.write_text("{broken")
-    rc = main(["dim", doc, "--cache-dir", str(cache), "--json"])
-    assert rc == 0
-    assert json.loads(capsys.readouterr().out)["value"] == 3
+    long_value = b'{"value": 1' + b"0" * 5000 + b"}"
+    for content in [b"{broken", *UNDECODABLE[:2], long_value]:
+        for f in cache.rglob("*.json"):
+            f.write_bytes(content)
+        for expected in ("miss", "hit"):
+            rc = main(["dim", doc, "--cache-dir", str(cache), "--json"])
+            assert rc == 0, content[:20]
+            payload = json.loads(capsys.readouterr().out)
+            assert (payload["value"], payload["cache"]) == (3, expected)
 
 
 @pytest.mark.parametrize("edit", [
@@ -429,6 +496,23 @@ def test_table_cost_guard(capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["--genus", "0:1000000000000", "--rank", "1", "--level", "1"],
+    ["--genus", "1", "--rank", "1:1000000000", "--level", "1:1000000000"],
+    ["--genus", "1", "--rank", "1000000", "--level", "1000000"],
+], ids=["many-genera", "many-ranks-and-levels", "one-huge-binomial"])
+def test_table_cost_guard_refuses_before_building(capsys, argv):
+    # the estimate stops once it passes the limit, and no cell is built
+    # before the guard: a list of these cells would not fit in memory
+    start = time.perf_counter()
+    assert main(["table", *argv]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: estimated term count")
+    assert "exceeds the limit 20000" in captured.err
+
+
 def test_table_force_overrides_guard(capsys):
     rc = main(["table", "--genus", "1", "--rank", "2", "--level", "2",
                "--limit", "1", "--force"])
@@ -526,3 +610,75 @@ def test_hecke_illegal_multiplicity(tmp_path, capsys):
     rc = main(["hecke", write_doc(tmp_path, POINT_DOC), "--point", "p",
                "-m", "5"])
     assert rc == 2
+
+
+# -- fuzzing the input layer -----------------------------------------------
+
+FIELDS = ["genus", "rank", "degree", "level", "points", "split", "label",
+          "flag", "weights", "g1", "g2", "I1", "c1", "c2", "typo"]
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-3, 6),
+              st.floats(allow_nan=False, allow_infinity=False),
+              st.sampled_from(["", "p", "q"])),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(FIELDS), inner, max_size=4),
+    max_leaves=10)
+def shaped(field):
+    """Values with the document's fields, each drawn by field(strategy)."""
+    ints = field(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    point = st.fixed_dictionaries(
+        {"label": field(st.sampled_from(["p", "q"])), "flag": ints,
+         "weights": ints})
+    split = st.fixed_dictionaries(
+        {key: field(st.integers(0, 2)) for key in ("g1", "g2", "c1", "c2")},
+        optional={"I1": field(st.lists(st.sampled_from(["p", "q"]),
+                                       max_size=2))})
+    return st.fixed_dictionaries(
+        {"genus": field(st.integers(0, 3)), "rank": field(st.integers(1, 3)),
+         "degree": field(st.integers(-1, 3)),
+         "level": field(st.integers(1, 3))},
+        optional={"points": field(st.lists(field(point), max_size=2)),
+                  "split": field(split)})
+
+
+# document-shaped values: any JSON value, the document's fields each of its
+# kind, or those fields each holding any JSON value now and then
+documents = (json_values | shaped(lambda s: s)
+             | shaped(lambda s: s | json_values))
+
+
+@settings(max_examples=120, deadline=None)
+@given(documents)
+def test_fuzz_document_to_query(doc):
+    try:
+        q, ctx = document_to_query(doc)
+    except DocumentError as exc:
+        assert exc.messages and all(isinstance(m, str) for m in exc.messages)
+        return
+    again = query_to_document(q, ctx)
+    assert query_to_document(*document_to_query(again)) == again
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=80)
+       | documents.map(lambda doc: json.dumps(doc).encode()))
+def test_fuzz_load_document(tmp_path_factory, content):
+    path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    path.write_bytes(content)
+    try:
+        cli.load_document(str(path))
+    except DocumentError:
+        pass
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.binary(max_size=80)
+       | json_values.map(lambda record: json.dumps(record).encode()))
+def test_fuzz_cache_record_is_a_miss(tmp_path_factory, content):
+    q, _ = document_to_query(BARE_DOC)
+    cache = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
+    path = cli._cache_path(cache, q.canonical_key())
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(content)
+    assert cli.cache_get(cache, q) is None

@@ -124,6 +124,31 @@ def test_caches_are_bounded():
     assert unbounded == []
 
 
+def _json_parses(tree):
+    return {node for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+            and isinstance(node.value, ast.Name) and node.value.id == "json"}
+
+
+def test_json_is_parsed_only_by_read_json():
+    # file bytes become a Python value in one place, cli._read_json, which
+    # turns every decoding failure into an input error
+    inside, stray = 0, []
+    for path in sorted((SRC / "thetadim").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_read_json" \
+                    and path.name == "cli.py":
+                allowed |= _json_parses(node)
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                stray.append(f"{path.name}:{node.lineno}")
+        inside += len(allowed)
+        stray += [f"{path.name}:{node.lineno}"
+                  for node in _json_parses(tree) - allowed]
+    assert inside == 1 and stray == []
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

@@ -77,13 +77,10 @@ def test_miller_rabin_refuses_beyond_its_exact_range():
 def test_root_has_order_exactly_N(N):
     previous = 2 ** 61
     for i in range(3):
-        p, powers = prime_root(N, i)
+        p, omega = prime_root(N, i)
         assert p < previous and p % N == 1 and is_prime(p)
         previous = p
-        omega = powers[1]
-        assert len(powers) == N
-        assert all(powers[m] == pow(omega, m, p) for m in range(N))
-        assert pow(omega, N, p) == 1
+        assert 0 < omega < p
         assert [m for m in range(1, N + 1) if pow(omega, m, p) == 1] == [N]
 
 
@@ -101,8 +98,9 @@ def test_joint_root_is_the_crt_of_the_prime_roots(N):
         primes = [prime_root(N, i) for i in range(count)]
         assert M == math.prod(p for p, _ in primes)
         assert len(powers) == N
-        for p, table in primes:
-            assert [x % p for x in powers] == list(table)
+        for p, omega in primes:
+            assert [x % p for x in powers] == [pow(omega, m, p)
+                                               for m in range(N)]
 
 
 def test_prime_search_matches_a_plain_scan():
@@ -300,7 +298,8 @@ def test_denominator_vanishing_mod_one_prime_raises():
     # the second, so it is nonzero mod M and still refused
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
     M, _ = joint_root(8, 2)
-    (p, real), (p2, _) = prime_root(8, 0), prime_root(8, 1)
+    (p, omega), (p2, _) = prime_root(8, 0), prime_root(8, 1)
+    real = [pow(omega, m, p) for m in range(8)]
     mixed = [a + p * ((1 - a) * pow(p, -1, p2) % p2) for a in real]
     assert all(x % p == a and x % p2 == 1 for x, a in zip(mixed, real))
     assert residues(q, _prefactor(q), p, real) == \
