@@ -273,14 +273,17 @@ def cmd_dim(args) -> int:
     if value is not None:
         cache = "hit"
     else:
-        value = closed_formula_exact(q)
         cache = "miss" if use_cache else "computed"
-        if use_cache:
-            try:
+        try:
+            if use_cache:  # refuse a directory that cannot be made before the work
+                os.makedirs(os.path.dirname(
+                    _cache_path(cache_dir, q.canonical_key())), exist_ok=True)
+            value = closed_formula_exact(q)
+            if use_cache:
                 cache_put(cache_dir, q, value)
-            except OSError as exc:
-                source = "--cache-dir" if args.cache_dir else ENV_CACHE
-                raise DocumentError([f"{source}: {exc}"]) from exc
+        except OSError as exc:
+            source = "--cache-dir" if args.cache_dir else ENV_CACHE
+            raise DocumentError([f"{source}: {exc}"]) from exc
     payload = {"value": value, "ell_integral": q.ell_integral,
                "exceptional_case": q.exceptional_case, "cache": cache}
     _emit(args, payload, _dim_lines(payload))
@@ -395,23 +398,20 @@ def cmd_verify(args) -> int:
 
 def _split_cases(args):
     cases = []
-    for k in range(1, args.level_max + 1):
-        for d in (0, 1):
-            for g1, g2 in ((1, 1), (1, 2)):
-                if g1 + g2 > args.genus_max:
-                    continue
-                for c1, c2 in ((1, 1), (1, 2)):
-                    for pts, I1 in (((), ()),
-                                    ((MarkedPoint("p", (1, 1), (0, 1)),
-                                      MarkedPoint("q", (1, 1), (0, 1))), ("p",))):
-                        if pts and k < 2:
-                            continue
-                        omega = ParabolicData(2, k, pts)
-                        try:
-                            ctx = split_context(omega, g1 + g2, d, I1, g1, c1, c2)
-                        except ValueError:
-                            continue
-                        cases.append((VerlindeQuery(g1 + g2, 2, d, omega), ctx))
+    for r, k, d, (g1, g2), (c1, c2), two in product(
+            range(1, args.rank_max + 1), range(1, args.level_max + 1), (0, 1),
+            ((1, 1), (1, 2)), ((1, 1), (1, 2)), (False, True)):
+        if g1 + g2 > args.genus_max or two and (r < 2 or k < 2):
+            continue
+        pts = (MarkedPoint("p", (1, r - 1), (0, 1)),
+               MarkedPoint("q", (r - 1, 1), (0, 1))) if two else ()
+        omega = ParabolicData(r, k, pts)
+        try:
+            ctx = split_context(omega, g1 + g2, d, ("p",) if two else (),
+                                g1, c1, c2)
+        except ValueError:
+            continue
+        cases.append((VerlindeQuery(g1 + g2, r, d, omega), ctx))
     return cases
 
 

@@ -11,9 +11,8 @@ float backend mirrors the same sum in double precision, bounds its rounding
 error and rounds; it serves only as `verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
-congruence-filtered variant rewrites each factor through Hecke moves so the
-sides land at degrees 0 and d (up to the formula's exact period r in the
-degree).
+congruence-filtered variant builds each factor from its weight in W'_k at
+degrees 0 and d, which are the Hecke images of the split factors.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       build_split_omegas, congruence_offset, ell,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
                       hecke_shift, lambda_of_point, normalize_point,
-                      omega_total, phi_inverse, split_degrees)
+                      omega_total, split_context, split_degrees)
 
 
 @dataclass(frozen=True)
@@ -239,12 +238,9 @@ def genus_recurrence_rhs(q: VerlindeQuery) -> int:
 
 
 def _check_ctx(q: VerlindeQuery, ctx: SplitContext):
-    if (ctx.rank, ctx.level, ctx.degree) != (q.rank, q.level, q.degree):
+    if ctx != split_context(q.omega, q.genus, q.degree, ctx.I1, ctx.g1,
+                            ctx.c1, ctx.c2):
         raise ValueError("context was built for a different query")
-    if ctx.g1 + ctx.g2 != q.genus:
-        raise ValueError("context genus split does not match the query")
-    if set(ctx.I1) | set(ctx.I2) != set(q.omega.labels()) or set(ctx.I1) & set(ctx.I2):
-        raise ValueError("context point split does not partition the points")
 
 
 def iter_split_terms(q: VerlindeQuery, ctx: SplitContext):
@@ -264,30 +260,29 @@ def split_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext) -> int:
 
 
 def iter_wprime_terms(q: VerlindeQuery, ctx: SplitContext):
+    """The split terms re-indexed by lam = phi(mu) in W'_k; each side is
+    built from lam, at degrees 0 and d, as the Hecke image of mu's side.
+
+    A weight whose last entry is 0 is fixed by its cyclic gaps (mu_1 - mu_2,
+    ..., mu_{r-1} - mu_r, k - mu_1 + mu_r).  h_step shifts them by one place
+    and the flip mu -> mu_1 + mu_r - mu (`build_omega_mu`'s first point)
+    reverses them, so flip h = h^-1 flip and h^r = 1; h ignores a uniform
+    shift, which is all `normalize_point` does.  With i = d1 mod r, lam =
+    h^(r-i)(mu).  The degree has period r, so side 1 reaches degree 0 by i
+    Hecke moves at its new point and side 2 reaches d by -i, as d1 + d2 = d:
+    the images are h^i(flip(mu)) = flip(h^-i(mu)) = flip(lam) and lam."""
     _check_ctx(q, ctx)
-    r, d = q.rank, q.degree
-    off = congruence_offset(q.omega, ctx.I1)
-    for lam in enumerate_Wk_prime(r, q.level, off):
-        mu = phi_inverse(lam, ctx)
-        d1f, d2f = split_degrees(mu, ctx)
-        if d1f.denominator != 1:
-            raise EvaluationError("recovered weight has a non-integral degree")
-        d1, d2 = int(d1f), int(d2f)
-        o1, o2 = build_split_omegas(q.omega, mu, ctx)
-        s1 = d1 % r
-        s2 = (d2 - d) % r
-        data1 = hecke_shift(o1, o1.points[-1].label, s1)
-        data2 = hecke_shift(o2, o2.points[-1].label, s2)
-        if (d1 - s1) % r or (d2 - s2 - d) % r:
-            raise EvaluationError("Hecke normalization missed the target degree")
-        t1 = dimension(VerlindeQuery(ctx.g1, r, 0, data1))
-        t2 = dimension(VerlindeQuery(ctx.g2, r, d, data2))
+    for lam in enumerate_Wk_prime(q.rank, q.level,
+                                  congruence_offset(q.omega, ctx.I1)):
+        o1, o2 = build_split_omegas(q.omega, lam, ctx)
+        t1 = dimension(VerlindeQuery(ctx.g1, q.rank, 0, o1))
+        t2 = dimension(VerlindeQuery(ctx.g2, q.rank, q.degree, o2))
         yield lam, t1 * t2
 
 
 def wprime_recurrence_rhs(q: VerlindeQuery, ctx: SplitContext) -> int:
     """Same product factorization, indexed by the congruence-filtered weight
-    set, with each side Hecke-normalized to degrees 0 and d."""
+    set, with the sides at degrees 0 and d."""
     return sum(t for _, t in iter_wprime_terms(q, ctx))
 
 

@@ -3,7 +3,7 @@
 A marked point carries a flag type (block multiplicities summing to the
 rank) and one strictly increasing weight per block.  Weights live in
 [0, level]; the top weight equals the level only on data produced by a
-partial Hecke move, enumeration and construction stay strictly below it.
+partial Hecke move or built from a weight of W_k with mu_1 = k.
 """
 
 from __future__ import annotations
@@ -255,14 +255,14 @@ def _point_from_entries(label: str, entries: Weight) -> MarkedPoint:
 def build_omega_mu(omega: ParabolicData, mu: Weight) -> ParabolicData:
     """Attach two fresh points encoding mu and its dual.
 
-    The first new point carries mu shifted to start at mu_r; the second
+    The first new point carries the flip mu_1 + mu_r - mu; the second
     carries exactly the dual weight mu_star as its padded partition.
     """
     r, k = omega.rank, omega.level
     if len(mu) != r:
         raise ValueError("weight length must equal the rank")
-    if any(mu[i] < mu[i + 1] for i in range(r - 1)) or mu[-1] < 0 or mu[0] >= k:
-        raise ValueError("weight must be nonincreasing with entries in [0, level)")
+    if any(mu[i] < mu[i + 1] for i in range(r - 1)) or mu[-1] < 0 or mu[0] > k:
+        raise ValueError("weight must be nonincreasing with entries in [0, level]")
     taken = set(omega.labels())
     lab1 = _fresh_label("x1", taken)
     lab2 = _fresh_label("x2", taken | {lab1})

@@ -155,6 +155,11 @@ def test_dim_cache_dir_that_is_a_file_is_an_input_error(tmp_path, capsys,
     not_a_dir = tmp_path / "cache"
     not_a_dir.write_text("")
     doc = write_doc(tmp_path, BARE_DOC)
+
+    def evaluated(q):  # the directory must be refused before the work
+        pytest.fail("the closed sum was evaluated")
+
+    monkeypatch.setattr(cli, "closed_formula_exact", evaluated)
     assert main(["dim", doc, "--cache-dir", str(not_a_dir)]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -164,6 +169,24 @@ def test_dim_cache_dir_that_is_a_file_is_an_input_error(tmp_path, capsys,
     monkeypatch.setenv("THETADIM_CACHE", str(not_a_dir))
     assert main(["dim", doc]) == 2
     assert capsys.readouterr().err.startswith("error: THETADIM_CACHE: ")
+
+
+def test_repeated_main_calls_are_independent(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("THETADIM_CACHE", raising=False)
+    doc = write_doc(tmp_path, BARE_DOC)
+    assert main(["dim", doc, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["cache"] == "computed"
+    assert main(["dim", doc]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "value: 3"
+    cache = tmp_path / "cache"
+    assert main(["dim", doc, "--cache-dir", str(cache)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "cache: miss"
+    before = sorted(cache.rglob("*"))
+    other = write_doc(tmp_path, POINT_DOC, "other.json")
+    for argv in (["dim", other, "--no-cache"], ["dim", other]):
+        assert main(argv) == 0
+        assert "cache:" not in capsys.readouterr().out
+    assert sorted(cache.rglob("*")) == before
 
 
 def test_dim_malformed_json(tmp_path, capsys):
@@ -379,6 +402,19 @@ def test_verify_all_suites(capsys):
     for suite in ("identities", "genus", "split", "wprime", "hecke",
                   "backend"):
         assert f"suite {suite}:" in out
+
+
+def test_split_suites_cover_every_rank(capsys):
+    counts = []
+    for rank_max in ("1", "2", "4"):
+        for suite in ("split", "wprime"):
+            rc = main(["verify", suite, "--json", "--rank-max", rank_max,
+                       "--level-max", "3", "--genus-max", "3"])
+            payload = json.loads(capsys.readouterr().out)
+            assert rc == 0 and payload["ok"]
+            counts.append(payload["suites"][suite])
+    assert 0 < counts[0] == counts[1] < counts[2] == counts[3] < counts[4]
+    assert counts[4] == counts[5]
 
 
 def test_verify_flags_broken_formula(capsys, monkeypatch):

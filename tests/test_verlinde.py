@@ -2,10 +2,13 @@ import itertools
 import math
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
-from thetadim.cli import _random_point, document_to_query, query_to_document
+from thetadim import verlinde
+from thetadim.cli import (_random_point, _split_cases, document_to_query,
+                          query_to_document)
 from thetadim.cyclotomic import root_power
 from thetadim.schur import v_orbits
 from thetadim.verlinde import (VerlindeQuery, clear_memo,
@@ -15,9 +18,10 @@ from thetadim.verlinde import (VerlindeQuery, clear_memo,
                                iter_wprime_terms, legal_hecke_multiplicities,
                                query, split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
-from thetadim.weights import (MarkedPoint, ParabolicData, h_closed,
-                              normalize_point, omega_total, phi,
-                              split_context)
+from thetadim.weights import (MarkedPoint, ParabolicData, build_split_omegas,
+                              congruence_offset, enumerate_Wk_prime, h_closed,
+                              hecke_shift, normalize_point, omega_total, phi,
+                              phi_inverse, split_context, split_degrees)
 
 
 def pt(label, flag, weights):
@@ -248,6 +252,68 @@ def test_split_context_mismatch_is_rejected():
     other = split_context(ParabolicData(2, 2), 2, 2, (), 1, 1, 1)
     with pytest.raises(ValueError):
         split_recurrence_rhs(q, other)
+    # same labels, flags and numbers, but the weights of p and q swapped: a
+    # check of the labels alone let split report 90 against 0
+    q = query(2, 1, ParabolicData(2, 3, (pt("p", (1, 1), (0, 1)),
+                                         pt("q", (1, 1), (0, 2)))))
+    foreign = split_context(ParabolicData(2, 3, (pt("p", (1, 1), (0, 2)),
+                                                 pt("q", (1, 1), (0, 1)))),
+                            2, 1, ("p",), 1, 1, 2)
+    for mode in ("split", "wprime"):
+        with pytest.raises(ValueError, match="different query"):
+            verify(q, mode, ctx=foreign)
+
+
+def _split_grid():
+    """The `verify split` cases at rank 2 up to level 5 and at ranks 3-4 up
+    to level 3, with and without two points."""
+    rank2 = _split_cases(SimpleNamespace(rank_max=2, level_max=5, genus_max=3))
+    higher = _split_cases(SimpleNamespace(rank_max=4, level_max=3, genus_max=3))
+    return ([c for c in rank2 if c[0].rank == 2]
+            + [c for c in higher if c[0].rank > 2])
+
+
+def test_wprime_sides_are_the_hecke_images_of_the_split_sides(monkeypatch):
+    # the reference route: mu = phi^-1(lam), mu's split sides, then each
+    # side Hecke-shifted from its induced degree onto degree 0 or d
+    grid = _split_grid()
+    assert {q.rank for q, _ in grid} == {2, 3, 4}
+    assert any(q.omega.points for q, _ in grid if q.rank == 4)
+    asked = []
+    monkeypatch.setattr(verlinde, "dimension", lambda sub: asked.append(sub) or 1)
+    weights = 0
+    for q, ctx in grid:
+        r = q.rank
+        expected = []
+        for lam in enumerate_Wk_prime(r, q.level,
+                                      congruence_offset(q.omega, ctx.I1)):
+            mu = phi_inverse(lam, ctx)
+            d1, d2 = split_degrees(mu, ctx)
+            o1, o2 = build_split_omegas(q.omega, mu, ctx)
+            images = (hecke_shift(o1, o1.points[-1].label, int(d1) % r),
+                      hecke_shift(o2, o2.points[-1].label,
+                                  int(d2 - q.degree) % r))
+            assert build_split_omegas(q.omega, lam, ctx) == images
+            expected += [query(ctx.g1, 0, images[0]),
+                         query(ctx.g2, q.degree, images[1])]
+            weights += 1
+        asked.clear()
+        list(iter_wprime_terms(q, ctx))
+        assert asked == expected
+    assert weights > 100
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "split"}, "split mode needs a context"),
+    ({"mode": "wprime"}, "wprime mode needs a context"),
+    ({"mode": "hecke", "multiplicity": 1}, "hecke mode needs"),
+    ({"mode": "hecke", "point": "p"}, "hecke mode needs"),
+    ({"mode": "genera"}, "unknown mode 'genera'"),
+])
+def test_verify_argument_errors(kwargs, message):
+    q = query(1, 0, ParabolicData(2, 2, (pt("p", (1, 1), (0, 1)),)))
+    with pytest.raises(ValueError, match=message):
+        verify(q, **kwargs)
 
 
 # -- Hecke invariance ------------------------------------------------------

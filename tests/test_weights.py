@@ -223,9 +223,11 @@ def test_build_omega_mu_fresh_labels():
 def test_build_omega_mu_rejects_out_of_range():
     omega = ParabolicData(2, 2)
     with pytest.raises(ValueError):
-        build_omega_mu(omega, (2, 0))      # mu_1 must stay below the level
+        build_omega_mu(omega, (3, 0))      # mu_1 must not pass the level
     with pytest.raises(ValueError):
         build_omega_mu(omega, (0, 1))      # not nonincreasing
+    # W'_k holds weights with mu_1 = k, so the top entry may equal the level
+    assert build_omega_mu(omega, (2, 0)).points[-1].weights == (0, 2)
 
 
 def test_build_split_omegas_partitions_points():
