@@ -13,20 +13,17 @@ found a nonzero residual, 2 invalid input, 3 internal arithmetic failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
 import json
 import math
 import os
-import random
 import sys
-import tempfile
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
 
 from . import __version__
 from .cyclotomic import NotRationalError
+from .modular import OversizedQuery
 from .schur import identity_52_check, identity_53_check, identity_54_check
 from .verlinde import (EvaluationError, VerlindeQuery, closed_formula_exact,
                        hecke_image, legal_hecke_multiplicities, v_vectors,
@@ -123,14 +120,7 @@ def document_to_query(doc) -> tuple[VerlindeQuery, SplitContext | None]:
 
 
 def query_to_document(q: VerlindeQuery, ctx: SplitContext | None = None) -> dict:
-    doc = {
-        "genus": q.genus,
-        "rank": q.rank,
-        "degree": q.degree,
-        "level": q.level,
-        "points": [{"label": p.label, "flag": list(p.flag),
-                    "weights": list(p.weights)} for p in q.omega.points],
-    }
+    doc = q.document()
     if ctx is not None:
         doc["split"] = {"g1": ctx.g1, "g2": ctx.g2, "I1": list(ctx.I1),
                         "c1": ctx.c1, "c2": ctx.c2}
@@ -169,11 +159,13 @@ def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
 
 
 def _cache_path(cache_dir: str, key: str) -> str:
+    import hashlib  # here and below: only the cache needs hashlib and tempfile
     digest = hashlib.sha256(key.encode()).hexdigest()
     return os.path.join(cache_dir, digest[:2], digest + ".json")
 
 
 def _record_digest(record: dict) -> str:
+    import hashlib
     return hashlib.sha256(
         json.dumps(record, sort_keys=True).encode()).hexdigest()
 
@@ -209,6 +201,7 @@ def cache_put(cache_dir: str, q: VerlindeQuery, value: int):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     record = {"value": value, "version": __version__, "query_key": key}
     record["digest"] = _record_digest(record)
+    import tempfile
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
@@ -243,7 +236,7 @@ def _parse_range(text: str, name: str) -> range:
     return range(a, b + 1)
 
 
-def _random_point(rng: random.Random, r: int, k: int, label: str) -> MarkedPoint:
+def _random_point(rng, r: int, k: int, label: str) -> MarkedPoint:
     blocks = rng.randint(1, min(r, k))
     cuts = sorted(rng.sample(range(1, r), blocks - 1)) if blocks > 1 else []
     flag, prev = [], 0
@@ -316,6 +309,7 @@ def _identity_checks(args):
 
 
 def _grid_queries(args, need_points=False):
+    import random  # only verify's sampled points need it
     rng = random.Random(args.seed)
     out = []
     for r in range(1, args.rank_max + 1):
@@ -485,6 +479,7 @@ def cmd_table(args) -> int:
         q = VerlindeQuery(g, r, d, ParabolicData(r, k))
         rows.append([g, r, k, d, 0, closed_formula_exact(q),
                      "yes" if q.ell_integral else "no"])
+    import csv  # only table writes CSV
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["g", "r", "k", "d", "points", "value", "ell_integral"])
     writer.writerows(rows)
@@ -581,6 +576,9 @@ def main(argv=None) -> int:
     except DocumentError as exc:
         for msg in exc.messages:
             print(f"error: {msg}", file=sys.stderr)
+        return EXIT_INPUT
+    except OversizedQuery as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (EvaluationError, NotRationalError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -36,16 +36,16 @@ class NotRationalError(ValueError):
         super().__init__(f"not a rational value; canonical coefficients {self.coeffs}")
 
 
-@dataclass(frozen=True)
-class IntPoly:
+class IntPoly(namedtuple("IntPoly", "coeffs")):
     """Dense integer polynomial, lowest degree first, no trailing zeros."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in self.coeffs))
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __new__(cls, coeffs):
+        coeffs = tuple(int(c) for c in coeffs)
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("leading coefficient must be nonzero")
+        return super().__new__(cls, coeffs)
 
     @property
     def degree(self) -> int:

@@ -76,8 +76,16 @@ _SMALL_PRIMES = math.prod(f for f in range(2, 200)
                           if all(f % d for d in range(2, math.isqrt(f) + 1)))
 
 
+# CPython's default limit on the digits of an int converted to a string
+MAX_DIGITS = 4300
+
+
 class EvaluationError(ArithmeticError):
     """The formula produced something that cannot be a dimension."""
+
+
+class OversizedQuery(ValueError):
+    """The query's value could have more than MAX_DIGITS digits."""
 
 
 def is_prime(n: int) -> bool:
@@ -253,28 +261,44 @@ def weyl_dimension(lam) -> int:
     return num // den
 
 
+def _bound_powers(q) -> list[tuple]:
+    """(base, exponent) pairs whose product is magnitude_bound/|prefactor|."""
+    r, k, g = q.rank, q.level, q.genus
+    n, pairs = r + k, r * (r - 1) // 2
+    sines = (Fraction(n * n, 16), pairs * (g - 1)) if g >= 1 else (4, pairs)
+    return [(math.comb(n - 1, r - 1), 1), sines] + [
+        (weyl_dimension(lambda_of_point(pt, k)), 1) for pt in q.omega.points]
+
+
 def magnitude_bound(q, prefactor: Fraction) -> Fraction:
     """A bound on |closed sum times prefactor|.  A Schur value at roots of
     unity is a sum of dim V_lam unit monomials, and 2 sin(pi m / n) >= 4 / n
     for 1 <= m < n, so each of the C(n-1, r-1) terms is bounded by the
     product of the dimensions times the extreme sine product."""
-    r, k, g = q.rank, q.level, q.genus
-    n = r + k
-    pairs = r * (r - 1) // 2
-    bound = abs(prefactor) * math.comb(n - 1, r - 1)
-    for pt in q.omega.points:
-        bound *= weyl_dimension(lambda_of_point(pt, k))
-    if g >= 1:
-        return bound * Fraction(n * n, 16) ** (pairs * (g - 1))
-    return bound * 4 ** pairs
+    return abs(prefactor) * math.prod(b ** e for b, e in _bound_powers(q))
 
 
-def closed_sum(q, prefactor: Fraction) -> int:
-    """The closed sum of q times prefactor, rebuilt from one residue modulo
-    the product of its value primes and the witness, and checked at the
-    witness prime."""
+def closed_sum(q, prefactor_powers: list) -> int:
+    """The closed sum of q times its prefactor, the product of the (base,
+    exponent) pairs given, rebuilt from one residue modulo the product of
+    its value primes and the witness, and checked at the witness prime.  A
+    query whose bound B = magnitude_bound(q, prefactor) has more than
+    MAX_DIGITS digits is refused with OversizedQuery before any power is
+    built or prime sought: log10 B is summed from the logarithms of the
+    bases, so the check is cheap at any genus."""
     N = q.rank * (q.rank + q.level)
-    bound = magnitude_bound(q, prefactor)
+    powers = _bound_powers(q)
+    try:
+        log10 = sum(e * (math.log10(abs(b.numerator))
+                         - math.log10(b.denominator))
+                    for b, e in prefactor_powers + powers)
+    except OverflowError:                   # an exponent beyond any float
+        log10 = math.inf
+    if log10 >= MAX_DIGITS:
+        raise OversizedQuery(f"query too large: the bound on its value is "
+                             f"10**{log10:.1f}, more than {MAX_DIGITS} digits")
+    prefactor = math.prod(b ** e for b, e in prefactor_powers)
+    bound = abs(prefactor) * math.prod(b ** e for b, e in powers)
     count, modulus = 0, 1
     while modulus <= 2 * bound:
         modulus *= prime_root(N, count)[0]

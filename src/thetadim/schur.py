@@ -69,19 +69,8 @@ def v_orbits(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def _perm_sign(perm) -> int:
-    sign = 1
-    seen = [False] * len(perm)
-    for i in range(len(perm)):
-        if not seen[i]:
-            j = i
-            length = 0
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-    return sign
+    """(-1) to the number of inversions."""
+    return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
 def alternant_counts(exps, v, n: int) -> list[int]:

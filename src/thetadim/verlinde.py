@@ -21,7 +21,7 @@ import cmath
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
 from .cyclotomic import CycNum, root_power
@@ -35,18 +35,17 @@ from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       omega_total, split_context, split_degrees)
 
 
-@dataclass(frozen=True)
-class VerlindeQuery:
-    genus: int
-    rank: int
-    degree: int
-    omega: ParabolicData
+class VerlindeQuery(namedtuple("VerlindeQuery", "genus rank degree omega")):
+    """An immutable, hashable query: genus, rank, degree and parabolic data."""
 
-    def __post_init__(self):
-        if self.genus < 0:
+    __slots__ = ()
+
+    def __new__(cls, genus: int, rank: int, degree: int, omega: ParabolicData):
+        if genus < 0:
             raise ValueError("genus must be >= 0")
-        if self.rank != self.omega.rank:
+        if rank != omega.rank:
             raise ValueError("query rank must match the parabolic data")
+        return super().__new__(cls, genus, rank, degree, omega)
 
     @property
     def level(self) -> int:
@@ -63,25 +62,30 @@ class VerlindeQuery:
         return (self.genus == 0 and self.degree == 0
                 and len(self.omega.points) == 3)
 
+    def document(self) -> dict:
+        """The query as a JSON document, its points in their order."""
+        return {"genus": self.genus, "rank": self.rank, "degree": self.degree,
+                "level": self.level,
+                "points": [{"label": p.label, "flag": list(p.flag),
+                            "weights": list(p.weights)}
+                           for p in self.omega.points]}
+
     def canonical_key(self) -> str:
-        pts = sorted(
-            ({"label": p.label, "flag": list(p.flag), "weights": list(p.weights)}
-             for p in self.omega.points),
-            key=lambda e: e["label"])
-        doc = {"genus": self.genus, "rank": self.rank, "degree": self.degree,
-               "level": self.level, "points": pts}
+        doc = self.document()
+        doc["points"].sort(key=lambda e: e["label"])
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
-@dataclass
-class VerifyReport:
-    mode: str
-    ok: bool
-    lhs: int
-    rhs: int
-    residual: float
-    query: VerlindeQuery
-    detail: dict = field(default_factory=dict)
+class VerifyReport(namedtuple("VerifyReport",
+                              "mode ok lhs rhs residual query detail")):
+    """The outcome of one check; each report has its own detail dict."""
+
+    __slots__ = ()
+
+    def __new__(cls, mode: str, ok: bool, lhs: int, rhs: int, residual: float,
+                query: VerlindeQuery, detail: dict | None = None):
+        return super().__new__(cls, mode, ok, lhs, rhs, residual, query,
+                               {} if detail is None else detail)
 
 
 def query(g: int, d: int, omega: ParabolicData) -> VerlindeQuery:
@@ -105,15 +109,20 @@ def closed_term(q: VerlindeQuery, v) -> CycNum:
     return root_power(N, e) * s * _weyl_inverse_promoted(v, q.genus, r, k)
 
 
-def _prefactor(q: VerlindeQuery) -> Fraction:
+def _prefactor_powers(q: VerlindeQuery) -> list[tuple[int | Fraction, int]]:
+    """Sign, (k/r)**g and (r n**(r-1))**(g-1), n = r + k: the prefactor."""
     r, k, g, d = q.rank, q.level, q.genus, q.degree
-    pref = Fraction(k, r) ** g * Fraction(r * (r + k) ** (r - 1)) ** (g - 1)
-    return -pref if (d * (r - 1)) % 2 else pref
+    return [(-1 if d * (r - 1) % 2 else 1, 1), (Fraction(k, r), g),
+            (Fraction(r * (r + k) ** (r - 1)), g - 1)]
+
+
+def _prefactor(q: VerlindeQuery) -> Fraction:
+    return math.prod(b ** e for b, e in _prefactor_powers(q))
 
 
 def closed_formula_exact(q: VerlindeQuery) -> int:
     """The closed sum by multi-modular evaluation."""
-    return closed_sum(q, _prefactor(q))
+    return closed_sum(q, _prefactor_powers(q))
 
 
 def closed_formula_cyclotomic(q: VerlindeQuery) -> int:
@@ -213,7 +222,7 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
 
 @functools.lru_cache(maxsize=8192)
 def dimension(q: VerlindeQuery) -> int:
-    """The exact dimension, memoized on the (frozen, hashable) query in a
+    """The exact dimension, memoized on the (immutable, hashable) query in a
     bounded LRU."""
     return closed_formula_exact(q)
 
@@ -320,16 +329,12 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
     if mode == "genus":
         lhs = dimension(q)
         rhs = genus_recurrence_rhs(q)
-    elif mode == "split":
+    elif mode in ("split", "wprime"):
         if ctx is None:
-            raise ValueError("split mode needs a context")
+            raise ValueError(f"{mode} mode needs a context")
         lhs = dimension(q)
-        rhs = split_recurrence_rhs(q, ctx)
-    elif mode == "wprime":
-        if ctx is None:
-            raise ValueError("wprime mode needs a context")
-        lhs = dimension(q)
-        rhs = wprime_recurrence_rhs(q, ctx)
+        rhs = (split_recurrence_rhs if mode == "split"
+               else wprime_recurrence_rhs)(q, ctx)
     elif mode == "hecke":
         if point is None or multiplicity is None:
             raise ValueError("hecke mode needs a point label and a multiplicity")

@@ -8,21 +8,18 @@ partial Hecke move or built from a weight of W_k with mu_1 = k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 Weight = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class MarkedPoint:
-    label: str
-    flag: tuple[int, ...]
-    weights: tuple[int, ...]
+class MarkedPoint(namedtuple("MarkedPoint", "label flag weights")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "flag", tuple(int(n) for n in self.flag))
-        object.__setattr__(self, "weights", tuple(int(a) for a in self.weights))
+    def __new__(cls, label: str, flag, weights):
+        return super().__new__(cls, label, tuple(int(n) for n in flag),
+                               tuple(int(a) for a in weights))
 
     def validate(self, rank: int, level: int):
         if not self.label:
@@ -39,23 +36,21 @@ class MarkedPoint:
             raise ValueError(f"point {self.label}: weights must lie in [0, level]")
 
 
-@dataclass(frozen=True)
-class ParabolicData:
-    rank: int
-    level: int
-    points: tuple[MarkedPoint, ...] = ()
+class ParabolicData(namedtuple("ParabolicData", "rank level points")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "points", tuple(self.points))
-        if self.rank < 1:
+    def __new__(cls, rank: int, level: int, points=()):
+        self = super().__new__(cls, rank, level, tuple(points))
+        if rank < 1:
             raise ValueError("rank must be >= 1")
-        if self.level < 1:
+        if level < 1:
             raise ValueError("level must be >= 1")
         labels = [p.label for p in self.points]
         if len(set(labels)) != len(labels):
             raise ValueError("point labels must be distinct")
         for p in self.points:
-            p.validate(self.rank, self.level)
+            p.validate(rank, level)
+        return self
 
     def point(self, label: str) -> MarkedPoint:
         for p in self.points:
@@ -162,24 +157,13 @@ def congruence_offset(omega: ParabolicData, side_labels) -> int:
 # -- splitting a query in two ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class SplitContext:
+class SplitContext(namedtuple("SplitContext", "g1 g2 I1 I2 c1 c2 ell n1 n2 "
+                                               "rank level degree")):
     """Everything a two-factor recurrence needs to know about how the query
     was cut: genus split, point split, twisting split, and the derived
     rational prefactors n1/n2 of the induced degrees."""
 
-    g1: int
-    g2: int
-    I1: tuple[str, ...]
-    I2: tuple[str, ...]
-    c1: int
-    c2: int
-    ell: int
-    n1: Fraction
-    n2: Fraction
-    rank: int
-    level: int
-    degree: int
+    __slots__ = ()
 
 
 def n_split(omega: ParabolicData, ell_value, c1: int, c2: int, I1_labels):

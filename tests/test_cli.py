@@ -10,7 +10,8 @@ import thetadim.cli as cli
 import thetadim.verlinde as verlinde
 from thetadim.cli import (DocumentError, document_to_query, main,
                           query_to_document)
-from thetadim.verlinde import EvaluationError, dimension, query
+from thetadim.modular import MAX_DIGITS, magnitude_bound
+from thetadim.verlinde import EvaluationError, _prefactor, dimension, query
 from thetadim.weights import ParabolicData
 
 
@@ -245,6 +246,43 @@ def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
     assert rc == 3
     err = capsys.readouterr().err
     assert err.splitlines() == ["internal error: RuntimeError: unforeseen"]
+
+
+# -- oversized queries ------------------------------------------------------
+
+@pytest.mark.parametrize("genus", [100000, 10 ** 400])
+def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, genus):
+    # at genus 100000 the bound has 90,309 digits: the query once ran for
+    # 15 s and then failed to print its value with exit 3
+    doc = {"genus": genus, "rank": 2, "degree": 0, "level": 2}
+    start = time.monotonic()
+    rc = main(["dim", write_doc(tmp_path, doc), "--json"])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: query too large") and str(MAX_DIGITS) in err
+
+
+def test_table_refuses_an_oversized_cell(capsys):
+    rc = main(["table", "--genus", "100000", "--rank", "2", "--level", "2"])
+    assert rc == 2
+    assert "query too large" in capsys.readouterr().err
+
+
+def test_query_just_inside_the_digit_limit_prints_its_value(tmp_path, capsys):
+    # at r = k = 2 the bound is 3 * 8**(g - 1): 4,300 digits at g = 4761,
+    # 4,301 at g = 4762; the value is 2**(g - 1) * (2**g + 1)
+    g = 4761
+    inside, outside = (query(h, 0, ParabolicData(2, 2)) for h in (g, g + 1))
+    assert magnitude_bound(inside, _prefactor(inside)) < 10 ** MAX_DIGITS
+    assert magnitude_bound(outside, _prefactor(outside)) >= 10 ** MAX_DIGITS
+    doc = {"genus": g, "rank": 2, "degree": 0, "level": 2}
+    rc = main(["dim", write_doc(tmp_path, doc), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["value"] == \
+        2 ** (g - 1) * (2 ** g + 1)
+    rc = main(["dim", write_doc(tmp_path, dict(doc, genus=g + 1)), "--json"])
+    assert rc == 2
 
 
 # -- cache -----------------------------------------------------------------

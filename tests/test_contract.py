@@ -2,8 +2,9 @@
 
 The benchmark harness, the README and the demos call into the package but
 are not covered by the other tests; a renamed or deleted name would only
-show when they run.  The last test keeps every module free of imports it
-never reads.
+show when they run.  The last two tests keep every module free of imports
+it never reads, and the command's start-up free of modules that only some
+commands use.
 """
 
 import ast
@@ -170,3 +171,14 @@ def test_no_unused_imports():
     unused = {str(p.relative_to(ROOT)): names
               for p in paths if (names := _unused_imports(p))}
     assert unused == {}
+
+
+def test_cli_import_loads_only_what_every_command_needs():
+    # dataclasses pulls in inspect, ast and dis; hashlib and tempfile serve
+    # only the cache, csv only `table` and random only `verify`
+    deferred = {"dataclasses", "inspect", "hashlib", "tempfile", "csv",
+                "random"}
+    proc = _run(["-S", "-c", "import sys, thetadim.cli; "
+                 f"print(sorted({sorted(deferred)!r} & sys.modules.keys()))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]

@@ -9,9 +9,9 @@ import pytest
 from thetadim import verlinde
 from thetadim.cli import (_random_point, _split_cases, document_to_query,
                           query_to_document)
-from thetadim.cyclotomic import root_power
+from thetadim.cyclotomic import IntPoly, root_power
 from thetadim.schur import v_orbits
-from thetadim.verlinde import (VerlindeQuery, clear_memo,
+from thetadim.verlinde import (VerifyReport, VerlindeQuery, clear_memo,
                                closed_formula_exact, closed_formula_float,
                                closed_term, dimension, genus_recurrence_rhs,
                                hecke_image, iter_split_terms,
@@ -542,3 +542,99 @@ def test_canonical_key_ignores_point_order():
 def test_float_residual_is_tiny_on_honest_input():
     _, residual = closed_formula_float(bare(2, 3, 1, 1))
     assert residual < 1e-9
+
+
+# -- the value classes -----------------------------------------------------
+
+def _values():
+    """One fresh value of each class, with one of its field names."""
+    point = pt("p", (1, 1), (0, 1))
+    omega = ParabolicData(2, 2, (point,))
+    q = query(1, 0, omega)
+    return {"point": (point, "weights"), "omega": (omega, "points"),
+            "query": (q, "genus"),
+            "context": (split_context(ParabolicData(2, 2), 1, 0, (), 1, 1, 1),
+                        "n1"),
+            "poly": (IntPoly((1, 0, 1)), "coeffs"),
+            "report": (VerifyReport("genus", True, 3, 3, 0.0, q), "ok")}
+
+
+@pytest.mark.parametrize("name", sorted(_values()))
+def test_value_fields_cannot_be_assigned(name):
+    obj, field = _values()[name]
+    assert hasattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, None)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+
+
+@pytest.mark.parametrize("name", sorted(set(_values()) - {"report"}))
+def test_equal_values_hash_equal(name):
+    a, b = _values()[name][0], _values()[name][0]
+    assert a is not b and a == b and hash(a) == hash(b)
+
+
+def test_equal_queries_share_a_dimension_memo_entry():
+    a = query(1, 0, ParabolicData(3, 2, [MarkedPoint("p", [2, 1], [0, 1])]))
+    b = query(1, 0, ParabolicData(3, 2, (pt("p", (2, 1), (0, 1)),)))
+    assert a is not b and a == b and hash(a) == hash(b)
+    value = dimension(a)
+    assert dimension(b) == value
+    info = dimension.cache_info()
+    assert (info.hits, info.misses) == (1, 1)
+    # the cache key format is unchanged, so old cache records still hit
+    assert a.canonical_key() == (
+        '{"degree":0,"genus":1,"level":2,"points":[{"flag":[2,1],'
+        '"label":"p","weights":[0,1]}],"rank":3}')
+
+
+def test_constructors_turn_lists_into_int_tuples():
+    point = MarkedPoint("p", [True, 1], [0, 1.0])
+    omega = ParabolicData(2, 2, [point])
+    assert point.flag == (1, 1) and point.weights == (0, 1)
+    assert all(type(x) is int for x in point.flag + point.weights)
+    assert type(omega.points) is tuple and omega.points == (point,)
+    poly = IntPoly([True, 0, 1])
+    assert poly.coeffs == (1, 0, 1) and type(poly.coeffs[0]) is int
+    assert ParabolicData(2, 2).points == ()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParabolicData(0, 2), "rank must be >= 1"),
+    (lambda: ParabolicData(2, 0), "level must be >= 1"),
+    (lambda: ParabolicData(2, 2, [pt("p", (2,), (0,))] * 2),
+     "point labels must be distinct"),
+    (lambda: ParabolicData(2, 2, [pt("", (2,), (0,))]),
+     "point label must be nonempty"),
+    (lambda: ParabolicData(2, 2, [pt("p", (1, 1), (0,))]),
+     "point p: flag and weights must have equal positive length"),
+    (lambda: ParabolicData(2, 2, [pt("p", (), ())]),
+     "point p: flag and weights must have equal positive length"),
+    (lambda: ParabolicData(2, 2, [pt("p", (0, 2), (0, 1))]),
+     "point p: flag multiplicities must be positive"),
+    (lambda: ParabolicData(2, 2, [pt("p", (1, 2), (0, 1))]),
+     "point p: flag multiplicities must sum to the rank"),
+    (lambda: ParabolicData(2, 2, [pt("p", (1, 1), (1, 1))]),
+     "point p: weights must strictly increase"),
+    (lambda: ParabolicData(2, 2, [pt("p", (1, 1), (0, 3))]),
+     "point p: weights must lie in [0, level]"),
+    (lambda: VerlindeQuery(-1, 2, 0, ParabolicData(2, 2)),
+     "genus must be >= 0"),
+    (lambda: VerlindeQuery(1, 3, 0, ParabolicData(2, 2)),
+     "query rank must match the parabolic data"),
+    (lambda: IntPoly((1, 0)), "leading coefficient must be nonzero"),
+])
+def test_validation_messages(build, message):
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_verify_reports_never_share_a_detail_dict():
+    q = bare(1, 2, 2)
+    a = VerifyReport("genus", True, 3, 3, 0.0, q)
+    b = VerifyReport("genus", True, 3, 3, 0.0, q)
+    a.detail["x"] = 1
+    assert b.detail == {} and a.detail is not b.detail
+    assert verify(q, "genus").detail is not verify(q, "genus").detail
