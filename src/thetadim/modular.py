@@ -8,6 +8,12 @@ remaindering once their product exceeds twice a proven bound on its
 absolute value (von zur Gathen and Gerhard, *Modern Computer Algebra*,
 ch. 5).  One more prime, the witness, checks the rebuilt integer.
 
+The primes are Proth numbers, p = 1 + t lcm(N, 2**E) below 2**(2E - 1)
+(`_proth_exponent`), found counting down: after trial division by the
+primes below 200, one modular power certifies each candidate by Proth's
+theorem (`_proth_prime`, which proves it).  The primes of an order are
+searched once and kept for the next query of that order (`prime_root`).
+
 Every term is a root power, the Schur values of the marked points and a
 sine product, each read from one table of powers of omega.  A Schur value
 is an alternant ratio, its determinant taken by elimination.  A query's
@@ -66,10 +72,6 @@ from fractions import Fraction
 from .schur import v_orbits, v_vectors
 from .weights import lambda_of_point, omega_total
 
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# the least strong pseudoprime to all twelve bases above
-_MR_LIMIT = 318665857834031151167461
-_PRIME_TOP = 1 << 61
 # the primes below 200: a candidate sharing a factor with their product is
 # composite, since every candidate is far above 200
 _SMALL_PRIMES = math.prod(f for f in range(2, 200)
@@ -78,6 +80,9 @@ _SMALL_PRIMES = math.prod(f for f in range(2, 200)
 
 # CPython's default limit on the digits of an int converted to a string
 MAX_DIGITS = 4300
+# the most bits a query's table of N powers mod M may hold, N times the bit
+# size of M: 2**26 bits is 8 MiB of digits
+MAX_TABLE_BITS = 1 << 26
 
 
 class EvaluationError(ArithmeticError):
@@ -85,33 +90,73 @@ class EvaluationError(ArithmeticError):
 
 
 class OversizedQuery(ValueError):
-    """The query's value could have more than MAX_DIGITS digits."""
+    """The query's value could have more than MAX_DIGITS digits, or its
+    table of powers more than MAX_TABLE_BITS bits."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin test with the first twelve prime bases."""
-    if n < 2:
+def _v2(n: int) -> int:
+    """The exponent of 2 in n > 0."""
+    return (n & -n).bit_length() - 1
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0, by quadratic reciprocity."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _proth_prime(p: int) -> bool:
+    """Whether the Proth number p = h 2**e + 1, h odd and h < 2**e, is prime,
+    by one modular power (Proth's theorem).
+
+    Let a be such that the Jacobi symbol (a/p) is -1.  Then p is prime if
+    and only if a**((p-1)/2) = -1 (mod p).  If p is prime, the Jacobi
+    symbol is the Legendre symbol, and Euler's criterion gives the power.
+    Conversely, let q be a prime dividing p.  Mod q, a**(p-1) = 1 but
+    a**((p-1)/2) = -1 != 1, so the order of a divides h 2**e but not
+    h 2**(e-1); h is odd, so 2**e divides the order, which divides q - 1.
+    So q > 2**e, and q**2 > 2**(2e) > (2**e - 1) 2**e + 1 >= p: every
+    prime factor of p exceeds its square root, and p is prime.
+
+    The search for a runs over a = 3, 5, 7, ...  The first odd a with
+    (a/p) = 0 shares a factor with p that no smaller odd number shares, so
+    it is a prime factor of p.  A square m**2 has no a with symbol -1,
+    since (a/m**2) = (a/m)**2, and the search would run on to the least
+    prime factor of m, so a square is refused first.  For any other odd p
+    the symbol is a nontrivial character mod p, so some odd a has
+    (a/p) = -1 (a and a + p have the same symbol) and the search ends."""
+    if p < 3 or (p - 1) >> _v2(p - 1) >= 1 << _v2(p - 1):
+        raise ValueError(f"{p} is not a Proth number")
+    if math.isqrt(p) ** 2 == p:
         return False
-    for b in _MR_BASES:
-        if n % b == 0:
-            return n == b
-    if n >= _MR_LIMIT:
-        raise ValueError(f"{n} is beyond the range where the test is exact")
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for b in _MR_BASES:
-        x = pow(b, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+    a = 3
+    while (symbol := _jacobi(a, p)) == 1:
+        a += 2
+    if not symbol:
+        return p == a
+    return pow(a, (p - 1) // 2, p) == p - 1
+
+
+def _proth_exponent(N: int) -> int:
+    """The least E with 2**E >= max(2**31, 2**20 odd(N)) and E >= v_2(N),
+    where N = 2**v_2(N) odd(N).  The primes of order N are
+    p = 1 + t lcm(N, 2**E) < 2**(2E - 1), so p - 1 = h 2**e with e >= E and
+    h < 2**(E - 1) <= 2**e: each is a Proth number.  Below the top there
+    are at least 2**(E-1) / odd(N) >= 2**19 candidates, many times the
+    primes a query within MAX_DIGITS needs (should they run out, the
+    search raises EvaluationError).  An order with odd part at most 2**11
+    and 2-part at most 2**31 has E = 31, so p < 2**61."""
+    return max(31, _v2(N), 20 + ((N >> _v2(N)) - 1).bit_length())
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -127,21 +172,43 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-@functools.lru_cache(maxsize=128)
-def prime_root(N: int, i: int) -> tuple[int, int]:
-    """The i-th prime p = 1 (mod N) below 2**61, counting down, with an
-    element omega of order exactly N mod p."""
-    top = _PRIME_TOP if i == 0 else prime_root(N, i - 1)[0]
-    p = (top - 2) // N * N + 1
-    while math.gcd(p, _SMALL_PRIMES) != 1 or not is_prime(p):
-        p -= N
-    factors = _prime_factors(N)
+def _next_root(N: int, top: int | None) -> tuple[int, int]:
+    """The greatest prime p = 1 + t lcm(N, 2**E) below top (below
+    2**(2E - 1) if top is None), E = _proth_exponent(N), with an element
+    omega of order exactly N mod p."""
+    E = _proth_exponent(N)
+    step = N >> _v2(N) << E                             # lcm(N, 2**E)
+    p = ((top or 1 << (2 * E - 1)) - 2) // step * step + 1
+    while p > 1 and (math.gcd(p, _SMALL_PRIMES) != 1 or not _proth_prime(p)):
+        p -= step
+    if p == 1:
+        raise EvaluationError(f"no Proth prime of order {N} is left")
+    odd = [f for f in _prime_factors(N) if f != 2]
     a = 2
     while True:
-        omega = pow(a, (p - 1) // N, p)
-        if all(pow(omega, N // f, p) != 1 for f in factors):
-            return p, omega
+        # for even N, omega**(N/2) = a**((p-1)/2) = (a/p) by Euler's criterion
+        if N % 2 or _jacobi(a, p) == -1:
+            omega = pow(a, (p - 1) // N, p)
+            if all(pow(omega, N // f, p) != 1 for f in odd):
+                return p, omega
         a += 1
+
+
+@functools.lru_cache(maxsize=64)
+def _roots(N: int) -> list[tuple[int, int]]:
+    """The (p, omega) pairs of order N found so far, in prime_root's order;
+    no query asks for more than its bound allows (MAX_DIGITS)."""
+    return []
+
+
+def prime_root(N: int, i: int) -> tuple[int, int]:
+    """The i-th Proth prime p = 1 (mod N) of _next_root, counting down, with
+    an element omega of order exactly N mod p.  Each prime is searched once
+    while its order stays among the 64 most recent."""
+    found = _roots(N)
+    while len(found) <= i:
+        found.append(_next_root(N, found[-1][0] if found else None))
+    return found[i]
 
 
 @functools.lru_cache(maxsize=128)
@@ -285,7 +352,10 @@ def closed_sum(q, prefactor_powers: list) -> int:
     query whose bound B = magnitude_bound(q, prefactor) has more than
     MAX_DIGITS digits is refused with OversizedQuery before any power is
     built or prime sought: log10 B is summed from the logarithms of the
-    bases, so the check is cheap at any genus."""
+    bases, so the check is cheap at any genus.  So is a query whose table
+    of N powers mod M could pass MAX_TABLE_BITS bits: the value primes but
+    the last multiply to at most 2B, and the last and the witness are each
+    below 2**(2E - 1), so M has at most log2 B + 4E - 1 bits."""
     N = q.rank * (q.rank + q.level)
     powers = _bound_powers(q)
     try:
@@ -297,6 +367,11 @@ def closed_sum(q, prefactor_powers: list) -> int:
     if log10 >= MAX_DIGITS:
         raise OversizedQuery(f"query too large: the bound on its value is "
                              f"10**{log10:.1f}, more than {MAX_DIGITS} digits")
+    bits = max(log10, 0) * math.log2(10) + 4 * _proth_exponent(N) - 1
+    if N * bits > MAX_TABLE_BITS:
+        raise OversizedQuery(f"query too large: its table of {N} powers mod "
+                             f"a modulus of up to {bits:.0f} bits passes "
+                             f"{MAX_TABLE_BITS} bits")
     prefactor = math.prod(b ** e for b, e in prefactor_powers)
     bound = abs(prefactor) * math.prod(b ** e for b, e in powers)
     count, modulus = 0, 1

@@ -51,20 +51,43 @@ def v_orbits(r: int, k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     v -> sort((v_j - c) mod n), shifts the gap sequence cyclically by one
     place, so T**r = id.  An orbit's representative is the v whose gap
     sequence is least among its rotations, and its size is the least shift
-    that fixes that sequence, a divisor of r: orbits are found by
-    enumeration, so (2, 0) at r = k = 2, fixed by T, has size 1."""
+    that fixes that sequence, a divisor of r: (2, 0) at r = k = 2, fixed by
+    T, has size 1.
+
+    The representatives are generated directly.  Lowered by 1, a gap
+    sequence is a sequence x of r entries >= 0 summing to k, and the binary
+    string 0 1**x_1 0 1**x_2 ... 0 1**x_r of length n with density k is
+    least among its rotations exactly when x is: so the orbits are the
+    fixed-density binary necklaces (Ruskey and Sawada, *An efficient
+    algorithm for generating necklaces with fixed density*, SIAM J. Comput.
+    29, 1999).  They come from the Fredricksen-Kessler-Maiorana recursion on
+    x, which extends a prenecklace x_1 ... x_(t-1) of period p by
+    x_t = x_(t-p) (period p) or by any larger entry (period t), and keeps x
+    a necklace when r is a multiple of the final period, which is then the
+    orbit's size.  No entry of a necklace is below its first, so x_t leaves
+    at least x_1 for each later entry, and the last entry is what remains
+    of k."""
     n = r + k
+    x = [0] * (r + 1)                       # x[1..r] after x[0] = 0
     out = []
-    for v in v_vectors(r, k):
-        gaps = tuple(a - b for a, b in zip((n,) + v, v))
-        # the first rotation at or below gaps decides: below, v is not its
-        # orbit's representative; equal, gaps repeats with that period
-        for size in range(1, r + 1):
-            rot = gaps[size:] + gaps[:size]
-            if rot <= gaps:
-                break
-        if rot == gaps:
-            out.append((v, size))
+
+    def extend(t: int, p: int, left: int) -> None:
+        if t == r:
+            if left > x[r - p] or (left == x[r - p] and r % p == 0):
+                x[r] = left
+                v, vj = [], n
+                for gap in x[1:]:
+                    vj -= gap + 1
+                    v.append(vj)
+                out.append((tuple(v), r if left > x[r - p] else p))
+            return
+        top = left - (r - t) * x[1] if t > 1 else left // r
+        for a in range(x[t - p], top + 1):
+            x[t] = a
+            extend(t + 1, p if a == x[t - p] else t, left - a)
+
+    extend(1, 1, k)
+    out.sort(key=lambda pair: pair[0][::-1])
     return tuple(out)
 
 

@@ -10,7 +10,7 @@ import thetadim.cli as cli
 import thetadim.verlinde as verlinde
 from thetadim.cli import (DocumentError, document_to_query, main,
                           query_to_document)
-from thetadim.modular import MAX_DIGITS, magnitude_bound
+from thetadim.modular import MAX_DIGITS, MAX_TABLE_BITS, magnitude_bound
 from thetadim.verlinde import EvaluationError, _prefactor, dimension, query
 from thetadim.weights import ParabolicData
 
@@ -267,6 +267,29 @@ def test_table_refuses_an_oversized_cell(capsys):
     rc = main(["table", "--genus", "100000", "--rank", "2", "--level", "2"])
     assert rc == 2
     assert "query too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("level,genus", [(1162261466, 1), (3000000, 40)])
+def test_oversized_power_table_is_refused_before_the_work(tmp_path, capsys,
+                                                          level, genus):
+    # a rank-1 query builds a table of N = level + 1 powers mod M: at level
+    # 1,162,261,466 it ran out of memory (exit 3), and at level 3,000,000
+    # and genus 40 it took 16 s and 613 MB to print level**genus
+    doc = {"genus": genus, "rank": 1, "degree": 0, "level": level}
+    start = time.monotonic()
+    rc = main(["dim", write_doc(tmp_path, doc), "--json"])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: query too large")
+    assert str(MAX_TABLE_BITS) in err
+
+
+def test_power_table_inside_its_limit_prints_its_value(tmp_path, capsys):
+    doc = {"genus": 2, "rank": 1, "degree": 0, "level": 100000}
+    rc = main(["dim", write_doc(tmp_path, doc), "--json"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 100000 ** 2
 
 
 def test_query_just_inside_the_digit_limit_prints_its_value(tmp_path, capsys):

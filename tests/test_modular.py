@@ -8,9 +8,9 @@ import pytest
 import thetadim.modular as modular
 import thetadim.verlinde as verlinde
 from thetadim.cli import main
-from thetadim.modular import (EvaluationError, _det, _nonzero, is_prime,
-                              joint_root, magnitude_bound, prime_root,
-                              residues, weyl_dimension)
+from thetadim.modular import (EvaluationError, _det, _nonzero, _proth_exponent,
+                              _proth_prime, joint_root, magnitude_bound,
+                              prime_root, residues, weyl_dimension)
 from thetadim.schur import _perm_sign, v_orbits, v_vectors
 from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
                                closed_formula_exact, query, verify)
@@ -44,6 +44,38 @@ def _grid(ranks, levels, genera, max_points, seed):
 
 
 # -- primes and roots of unity ---------------------------------------------
+
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# the least strong pseudoprime to all twelve bases above
+_MR_LIMIT = 318665857834031151167461
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test with the first twelve prime bases: the
+    oracle for the Proth certificate of the prime search."""
+    if n < 2:
+        return False
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    if n >= _MR_LIMIT:
+        raise ValueError(f"{n} is beyond the range where the test is exact")
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
 
 def test_miller_rabin_matches_trial_division():
     assert [n for n in range(3000) if is_prime(n)] == \
@@ -104,13 +136,96 @@ def test_joint_root_is_the_crt_of_the_prime_roots(N):
 
 
 def test_prime_search_matches_a_plain_scan():
+    # the primes 1 + t lcm(N, 2**31) below 2**61, counting down
     for N in _ORDERS:
+        assert _proth_exponent(N) == 31
+        step = N * 2 ** 31 // math.gcd(N, 2 ** 31)
         p = 2 ** 61
         for i in range(3):
-            p = (p - 2) // N * N + 1
+            p = (p - 2) // step * step + 1
             while not is_prime(p):
-                p -= N
+                p -= step
             assert prime_root(N, i)[0] == p, (N, i)
+
+
+def _proth_numbers(limit):
+    """Every h 2**e + 1 below limit with h odd and h < 2**e."""
+    e = 1
+    while (1 << e) + 1 < limit:
+        yield from range((1 << e) + 1, min(limit, (1 << 2 * e) + 1),
+                         1 << (e + 1))
+        e += 1
+
+
+def test_proth_certificate_matches_trial_division():
+    limit = 1 << 22
+    sieve = bytearray([1]) * limit
+    sieve[:2] = b"\0\0"
+    for f in range(2, math.isqrt(limit) + 1):
+        if sieve[f]:
+            sieve[f * f::f] = bytes(len(range(f * f, limit, f)))
+    numbers = list(_proth_numbers(limit))
+    assert len(numbers) == len(set(numbers)) == 3070
+    assert [n for n in numbers if _proth_prime(n)] == \
+        [n for n in numbers if sieve[n]]
+    assert all(sieve[n] == _trial_division(n) for n in range(3000))
+
+
+def test_proth_certificate_matches_the_oracle_on_the_search():
+    # every candidate of three primes per order, sieved out or not
+    checked = 0
+    for N in range(1, 501):
+        step = N * 2 ** 31 // math.gcd(N, 2 ** 31)
+        p = (2 ** 61 - 2) // step * step + 1
+        for i in range(3):
+            while p > prime_root(N, i)[0]:
+                assert not _proth_prime(p) and not is_prime(p), (N, p)
+                p -= step
+                checked += 1
+            assert _proth_prime(p) and is_prime(p), (N, p)
+            p -= step
+    assert checked > 10 * 3 * 500
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4, 6, 11, 15, 2 ** 61 - 1, 5 * 4 + 1,
+                               (2 ** 31 + 1) * 2 ** 31 + 1])
+def test_proth_certificate_refuses_other_input(n):
+    with pytest.raises(ValueError, match="not a Proth number"):
+        _proth_prime(n)
+
+
+@pytest.mark.parametrize("root", [3, 5, 7, 9, 17, 257, 65537, 2 ** 31 + 1,
+                                  2 ** 128 + 1])
+def test_proth_certificate_is_false_on_a_square(root):
+    # a Proth number with no a such that (a / root**2) = -1; the least prime
+    # factor of 2**128 + 1 has 17 digits, so the search for a would not end
+    n = root * root
+    e = ((n - 1) & (1 - n)).bit_length() - 1
+    assert (n - 1) >> e < 1 << e
+    assert not _proth_prime(n)
+
+
+def test_a_query_searches_each_prime_once(monkeypatch):
+    # 148 value primes and the witness: more than 128, so an LRU of 128
+    # primes would search every one of them again for the joint modulus
+    modular._roots.cache_clear()
+    modular.joint_root.cache_clear()
+    searched = []
+    real = modular._next_root
+
+    def counted(N, top):
+        searched.append(N)
+        return real(N, top)
+
+    monkeypatch.setattr(modular, "_next_root", counted)
+    g = 3000
+    q = query(g, 0, ParabolicData(2, 2))
+    assert closed_formula_exact(q) == 2 ** (g - 1) * (2 ** g + 1)
+    assert searched == [8] * len(searched) and len(searched) > 128
+    M, _ = joint_root(8, len(searched))
+    assert M == math.prod(prime_root(8, i)[0] for i in range(len(searched)))
+    closed_formula_exact(q)
+    assert len(searched) == 149
 
 
 def test_weyl_dimension():
@@ -251,10 +366,10 @@ def _matrices(rng, p):
             yield [row[:-1] + [0] for row in m]
 
 
-@pytest.mark.parametrize("p", [7, 11, prime_root(12, 0)[0],
-                               joint_root(12, 2)[0]])
+@pytest.mark.parametrize("p", [7, 11, 2305843009213693921,
+                               2305843009213693921 * 2305843009213693693])
 def test_division_free_det_matches_leibniz(p):
-    # the last modulus is the product of two primes
+    # a prime near 2**61, and the product of two such primes
     rng = random.Random(p)
     singular = 0
     for m in _matrices(rng, p):

@@ -83,6 +83,28 @@ def test_v_orbits_partition_the_v_vectors():
             assert sorted(seen) == sorted(v_vectors(r, k))
 
 
+def _v_orbits_by_enumeration(r, k):
+    # the oracle: walk every v-vector and keep those whose gap sequence is
+    # least among its rotations, with the least shift that fixes it
+    n = r + k
+    out = []
+    for v in v_vectors(r, k):
+        gaps = tuple(a - b for a, b in zip((n,) + v, v))
+        for size in range(1, r + 1):
+            rot = gaps[size:] + gaps[:size]
+            if rot <= gaps:
+                break
+        if rot == gaps:
+            out.append((v, size))
+    return tuple(out)
+
+
+def test_v_orbits_match_the_enumeration():
+    for r in range(1, 9):
+        for k in range(1, 9):
+            assert v_orbits(r, k) == _v_orbits_by_enumeration(r, k), (r, k)
+
+
 def test_v_orbits_small_orbits():
     # (2, 0) at r = k = 2 is fixed: its orbit has size 1, not r
     assert v_orbits(2, 2) == (((2, 0), 1), ((3, 0), 2))
