@@ -292,45 +292,70 @@ def _dim_lines(payload):
     return lines
 
 
+def _identity(name, check, *case):
+    """The identity check on the case, unevaluated; its record names it."""
+    return lambda: None if check(*case).is_zero() else {
+        "check": name, "mode": "identity", "document": None}
+
+
 def _identity_checks(args):
-    """(name, passed) for every orthogonality check of the grid."""
+    """One check per orthogonality identity of the grid."""
     for r in range(1, args.rank_max + 1):
         for k in range(1, args.level_max + 1):
             vs = list(v_vectors(r, k))
             for v in vs:
-                yield (f"pairing-open r={r} k={k} v={v}",
-                       identity_52_check(v, r, k).is_zero())
-                yield (f"pairing-closed r={r} k={k} v={v}",
-                       identity_53_check(v, r, k).is_zero())
+                yield _identity(f"pairing-open r={r} k={k} v={v}",
+                                identity_52_check, v, r, k)
+                yield _identity(f"pairing-closed r={r} k={k} v={v}",
+                                identity_53_check, v, r, k)
             if k <= args.pair_level_max and r >= 2:
                 for v, vp in combinations(vs, 2):
-                    yield (f"cross-pairing r={r} k={k} v={v} v'={vp}",
-                           identity_54_check(v, vp, r, k).is_zero())
+                    yield _identity(f"cross-pairing r={r} k={k} v={v} v'={vp}",
+                                    identity_54_check, v, vp, r, k)
 
 
 def _grid_queries(args, need_points=False):
     import random  # only verify's sampled points need it
     rng = random.Random(args.seed)
-    out = []
     for r in range(1, args.rank_max + 1):
         for k in range(1, args.level_max + 1):
             for g in range(args.genus_min, args.genus_max + 1):
                 for d in range(0, r):
-                    configs = [()] + [(_random_point(rng, r, k, "p0"),)
-                                      for _ in range(args.samples)]
-                    for pts in configs:
-                        if need_points and not pts:
-                            continue
-                        omega = ParabolicData(r, k, pts)
-                        out.append(VerlindeQuery(g, r, d, omega))
-    return out
+                    sampled = [(_random_point(rng, r, k, "p0"),)
+                               for _ in range(args.samples)]
+                    for pts in ([] if need_points else [()]) + sampled:
+                        yield VerlindeQuery(g, r, d, ParabolicData(r, k, pts))
 
 
-def _verify_failure(name, report, ctx=None):
-    doc = query_to_document(report.query, ctx)
-    return {"check": name, "mode": report.mode, "lhs": report.lhs,
-            "rhs": report.rhs, "residual": report.residual,
-            "document": doc, **report.detail}
+def _verify_failure(suite, report, ctx=None):
+    """The failure record of a `verify` report, or None when it passed."""
+    return None if report.ok else {
+        "check": suite, "mode": report.mode, "lhs": report.lhs,
+        "rhs": report.rhs, "residual": report.residual,
+        "document": query_to_document(report.query, ctx), **report.detail}
+
+
+def _verified(suite, q, ctx=None, **kw):
+    """The check of q in the suite's mode of `verify`, unevaluated."""
+    return lambda: _verify_failure(suite, verify(q, suite, ctx=ctx, **kw), ctx)
+
+
+# suite -> the checks of its grid, one per case, in the order `all` runs them
+SUITES = {
+    "identities": _identity_checks,
+    "genus": lambda args: [_verified("genus", q) for q in _grid_queries(args)
+                           if q.genus >= 1],
+    "split": lambda args: [_verified("split", q, ctx)
+                           for q, ctx in _split_cases(args)],
+    "wprime": lambda args: [_verified("wprime", q, ctx)
+                            for q, ctx in _split_cases(args)],
+    "hecke": lambda args: [
+        _verified("hecke", q, point=p.label, multiplicity=m)
+        for q in _grid_queries(args, need_points=True) for p in q.omega.points
+        for m in legal_hecke_multiplicities(q, p.label)],
+    "backend": lambda args: [_verified("backend", q, tol=args.tol)
+                             for q in _grid_queries(args)],
+}
 
 
 def cmd_verify(args) -> int:
@@ -343,45 +368,22 @@ def cmd_verify(args) -> int:
     if not 0 <= args.tol < math.inf:
         raise DocumentError(
             [f"--tol: must be finite and nonnegative, got {args.tol}"])
-    suites = (["identities", "genus", "split", "wprime", "hecke", "backend"]
-              if args.suite == "all" else [args.suite])
-    counts = {}
-    by_suite = {}
-    for suite in suites:
-        if suite == "identities":
-            checks = list(_identity_checks(args))
-            fails = [{"check": name, "mode": "identity", "document": None}
-                     for name, ok in checks if not ok]
-        else:
-            if suite == "genus":
-                checks = [(verify(q, "genus"), None)
-                          for q in _grid_queries(args) if q.genus >= 1]
-            elif suite in ("split", "wprime"):
-                checks = [(verify(q, suite, ctx=ctx), ctx)
-                          for q, ctx in _split_cases(args)]
-            elif suite == "hecke":
-                checks = [(verify(q, "hecke", point=p.label, multiplicity=m),
-                           None)
-                          for q in _grid_queries(args, need_points=True)
-                          for p in q.omega.points
-                          for m in legal_hecke_multiplicities(q, p.label)]
-            else:
-                checks = [(verify(q, "backend", tol=args.tol), None)
-                          for q in _grid_queries(args)]
-            fails = [_verify_failure(suite, rep, ctx)
-                     for rep, ctx in checks if not rep.ok]
+    suites = {name: list(SUITES[name](args))
+              for name in (SUITES if args.suite == "all" else [args.suite])}
+    for name, checks in suites.items():  # every grid is built before any check
         if not checks:
-            raise DocumentError([f"suite {suite} ran no checks"])
-        counts[suite] = len(checks)
-        by_suite[suite] = fails
+            raise DocumentError([f"suite {name} ran no checks"])
+    by_suite = {name: [f for f in (check() for check in checks) if f]
+                for name, checks in suites.items()}
     failures = [f for fails in by_suite.values() for f in fails]
     if args.json:
-        print(json.dumps({"suites": counts, "failures": failures,
-                          "ok": not failures}, sort_keys=True))
+        print(json.dumps({"suites": {n: len(c) for n, c in suites.items()},
+                          "failures": failures, "ok": not failures},
+                         sort_keys=True))
     else:
-        for suite, n in counts.items():
-            status = "ok" if not by_suite[suite] else "FAILED"
-            print(f"suite {suite}: {n} checks {status}")
+        for name, checks in suites.items():
+            status = "ok" if not by_suite[name] else "FAILED"
+            print(f"suite {name}: {len(checks)} checks {status}")
         for f in failures:
             print(f"FAIL {f['check']}: lhs={f.get('lhs')} rhs={f.get('rhs')}")
             if f.get("document") is not None:
@@ -409,27 +411,29 @@ def _split_cases(args):
     return cases
 
 
+def _n1(args) -> Fraction:
+    try:
+        return Fraction(args.n1)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise DocumentError(
+            [f"--n1: expected a fraction, got {args.n1!r}"]) from exc
+
+
+# set -> its elements at the parsed rank and level
+SETS = {
+    "pk": lambda args: enumerate_Pk(args.rank, args.level),
+    "wk": lambda args: enumerate_Wk(args.rank, args.level),
+    "wkprime": lambda args: enumerate_Wk_prime(args.rank, args.level,
+                                               args.offset),
+    "qk": lambda args: enumerate_Qk(args.rank, args.level, _n1(args)),
+    "vvec": lambda args: v_vectors(args.rank, args.level),
+}
+
+
 def cmd_enumerate(args) -> int:
-    r, k = args.rank, args.level
-    _at_least("--rank", r, 1)
-    _at_least("--level", k, 1)
-    if args.set == "pk":
-        elems = list(enumerate_Pk(r, k))
-    elif args.set == "wk":
-        elems = list(enumerate_Wk(r, k))
-    elif args.set == "wkprime":
-        elems = list(enumerate_Wk_prime(r, k, args.offset))
-    elif args.set == "qk":
-        try:
-            n1 = Fraction(args.n1)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise DocumentError(
-                [f"--n1: expected a fraction, got {args.n1!r}"]) from exc
-        elems = list(enumerate_Qk(r, k, n1))
-    elif args.set == "vvec":
-        elems = list(v_vectors(r, k))
-    else:
-        raise DocumentError([f"unknown set {args.set!r}"])
+    _at_least("--rank", args.rank, 1)
+    _at_least("--level", args.level, 1)
+    elems = list(SETS[args.set](args))
     if args.json:
         print(json.dumps({"elements": [list(e) for e in elems],
                           "count": len(elems)}))
@@ -524,8 +528,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_dim)
 
     p = sub.add_parser("verify", help="run a verification suite over a grid")
-    p.add_argument("suite", choices=("identities", "genus", "split", "wprime",
-                                     "hecke", "backend", "all"))
+    p.add_argument("suite", choices=(*SUITES, "all"))
     p.add_argument("--rank-max", type=int, default=3)
     p.add_argument("--level-max", type=int, default=3)
     p.add_argument("--pair-level-max", type=int, default=3)
@@ -538,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("enumerate", help="list a weight or vector set")
-    p.add_argument("set", choices=("pk", "wk", "wkprime", "qk", "vvec"))
+    p.add_argument("set", choices=SETS)
     p.add_argument("--rank", "-r", type=int, required=True)
     p.add_argument("--level", "-k", type=int, required=True)
     p.add_argument("--offset", type=int, default=0,

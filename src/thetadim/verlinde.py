@@ -326,22 +326,14 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
     or in backend mode the exact value equal to the cyclotomic oracle and the
     float value within tolerance.  When the float backend refuses, the
     report's rhs is the oracle and its detail says "float": "refused"."""
-    if mode == "genus":
-        lhs = dimension(q)
-        rhs = genus_recurrence_rhs(q)
-    elif mode in ("split", "wprime"):
-        if ctx is None:
-            raise ValueError(f"{mode} mode needs a context")
-        lhs = dimension(q)
-        rhs = (split_recurrence_rhs if mode == "split"
-               else wprime_recurrence_rhs)(q, ctx)
-    elif mode == "hecke":
-        if point is None or multiplicity is None:
-            raise ValueError("hecke mode needs a point label and a multiplicity")
-        lhs = dimension(q)
-        rhs = dimension(hecke_image(q, point, multiplicity))
-    elif mode == "backend":
-        lhs = dimension(q)
+    if mode not in ("genus", "split", "wprime", "hecke", "backend"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode in ("split", "wprime") and ctx is None:
+        raise ValueError(f"{mode} mode needs a context")
+    if mode == "hecke" and (point is None or multiplicity is None):
+        raise ValueError("hecke mode needs a point label and a multiplicity")
+    lhs = dimension(q)
+    if mode == "backend":
         oracle = closed_formula_cyclotomic(q)
         try:
             rhs, float_residual = closed_formula_float(q)
@@ -357,8 +349,13 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
         return VerifyReport("backend", ok, lhs, rhs, residual, q,
                             {"cyclotomic": oracle,
                              "float_residual": float_residual})
+    if mode == "genus":
+        rhs = genus_recurrence_rhs(q)
+    elif mode == "hecke":
+        rhs = dimension(hecke_image(q, point, multiplicity))
     else:
-        raise ValueError(f"unknown mode {mode!r}")
+        rhs = (split_recurrence_rhs if mode == "split"
+               else wprime_recurrence_rhs)(q, ctx)
     residual = abs(lhs - rhs)
     detail = {}
     if point is not None:

@@ -465,6 +465,63 @@ def test_verify_all_suites(capsys):
         assert f"suite {suite}:" in out
 
 
+SUITE_COUNTS = {"identities": 135, "genus": 108, "split": 19, "wprime": 19,
+                "hecke": 139, "backend": 108}
+
+
+def test_verify_all_defaults_are_pinned(capsys):
+    # a table entry that drops, duplicates or reorders checks changes these
+    assert main(["verify", "all", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "suites": SUITE_COUNTS, "failures": [], "ok": True}
+    assert main(["verify", "all"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"suite {name}: {n} checks ok" for name, n in SUITE_COUNTS.items()]
+
+
+def test_a_suite_is_one_table_entry(capsys, monkeypatch):
+    failure = {"check": "fake", "mode": "fake", "lhs": 1, "rhs": 2,
+               "document": None}
+    monkeypatch.setitem(cli.SUITES, "fake", lambda args: [lambda: None] * 2)
+    assert main(["verify", "fake", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "suites": {"fake": 2}, "failures": [], "ok": True}
+    monkeypatch.setitem(cli.SUITES, "fake",
+                        lambda args: [lambda: None, lambda: failure])
+    assert main(["verify", "all"] + SMALL) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in out[:7]] == [
+        f"suite {name}" for name in [*SUITE_COUNTS, "fake"]]
+    assert out[6] == "suite fake: 2 checks FAILED"
+    assert out[7:] == ["FAIL fake: lhs=1 rhs=2"]
+    monkeypatch.setitem(cli.SUITES, "fake", lambda args: [])
+    assert main(["verify", "fake"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suite fake ran no checks\n"
+
+
+@pytest.mark.parametrize("argv, suite", [
+    (["--genus-max", "1", "--rank-max", "4", "--level-max", "4"], "split"),
+    (["--samples", "0"], "hecke"),
+])
+def test_empty_suite_is_refused_before_any_check(capsys, monkeypatch, argv,
+                                                 suite):
+    def never(*args, **kwargs):
+        raise AssertionError("a check ran")
+
+    # cli binds the identity checks by name; every other suite evaluates
+    # verlinde.dimension first
+    for name in ("identity_52_check", "identity_53_check",
+                 "identity_54_check"):
+        monkeypatch.setattr(cli, name, never)
+    monkeypatch.setattr(verlinde, "dimension", never)
+    rc = main(["verify", "all"] + argv)
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err.splitlines() == [f"error: suite {suite} ran no checks"]
+
+
 def test_split_suites_cover_every_rank(capsys):
     counts = []
     for rank_max in ("1", "2", "4"):

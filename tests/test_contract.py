@@ -150,6 +150,22 @@ def test_json_is_parsed_only_by_read_json():
     assert inside == 1 and stray == []
 
 
+def test_cli_choices_come_from_tables():
+    # choices spelled out as string constants would be a second list of the
+    # suites or sets, beside the table that runs them
+    tree = ast.parse((SRC / "thetadim" / "cli.py").read_text())
+    choices = [kw.value for node in ast.walk(tree)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", None) == "add_argument"
+               for kw in node.keywords if kw.arg == "choices"]
+    assert len(choices) == 2
+    spelled = [value.lineno for value in choices
+               if isinstance(value, (ast.Tuple, ast.List, ast.Set))
+               and all(isinstance(e, ast.Constant) and isinstance(e.value, str)
+                       for e in value.elts)]
+    assert spelled == []
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()
