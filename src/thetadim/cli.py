@@ -100,7 +100,7 @@ def document_to_query(doc) -> tuple[VerlindeQuery, SplitContext | None]:
         omega = ParabolicData(doc["rank"], doc["level"], tuple(
             MarkedPoint(p["label"], tuple(p["flag"]), tuple(p["weights"]))
             for p in doc.get("points", [])))
-        q = VerlindeQuery(doc["genus"], doc["rank"], doc["degree"], omega)
+        q = VerlindeQuery(doc["genus"], doc["degree"], omega)
     except ValueError as exc:
         raise DocumentError([str(exc)]) from exc
     if "split" not in doc:
@@ -247,14 +247,6 @@ def _random_point(rng, r: int, k: int, label: str) -> MarkedPoint:
     return MarkedPoint(label, tuple(flag), tuple(ws))
 
 
-def _emit(args, payload: dict, human_lines):
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        for line in human_lines:
-            print(line)
-
-
 # -- subcommands -----------------------------------------------------------
 
 
@@ -277,19 +269,17 @@ def cmd_dim(args) -> int:
         except OSError as exc:
             source = "--cache-dir" if args.cache_dir else ENV_CACHE
             raise DocumentError([f"{source}: {exc}"]) from exc
-    payload = {"value": value, "ell_integral": q.ell_integral,
-               "exceptional_case": q.exceptional_case, "cache": cache}
-    _emit(args, payload, _dim_lines(payload))
+    if args.json:
+        print(json.dumps({"value": value, "ell_integral": q.ell_integral,
+                          "exceptional_case": q.exceptional_case,
+                          "cache": cache}, sort_keys=True))
+        return EXIT_OK
+    print(f"value: {value}")
+    print(f"ell integral: {'yes' if q.ell_integral else 'no'}")
+    print(f"exceptional case: {'yes' if q.exceptional_case else 'no'}")
+    if cache != "computed":
+        print(f"cache: {cache}")
     return EXIT_OK
-
-
-def _dim_lines(payload):
-    lines = [f"value: {payload['value']}",
-             f"ell integral: {'yes' if payload['ell_integral'] else 'no'}",
-             f"exceptional case: {'yes' if payload['exceptional_case'] else 'no'}"]
-    if payload.get("cache") in ("hit", "miss"):
-        lines.append(f"cache: {payload['cache']}")
-    return lines
 
 
 def _identity(name, check, *case):
@@ -324,7 +314,7 @@ def _grid_queries(args, need_points=False):
                     sampled = [(_random_point(rng, r, k, "p0"),)
                                for _ in range(args.samples)]
                     for pts in ([] if need_points else [()]) + sampled:
-                        yield VerlindeQuery(g, r, d, ParabolicData(r, k, pts))
+                        yield VerlindeQuery(g, d, ParabolicData(r, k, pts))
 
 
 def _verify_failure(suite, report, ctx=None):
@@ -407,7 +397,7 @@ def _split_cases(args):
                                 g1, c1, c2)
         except ValueError:
             continue
-        cases.append((VerlindeQuery(g1 + g2, r, d, omega), ctx))
+        cases.append((VerlindeQuery(g1 + g2, d, omega), ctx))
     return cases
 
 
@@ -480,7 +470,7 @@ def cmd_table(args) -> int:
         print(f"estimated term count: {est}", file=sys.stderr)
     rows = []
     for g, r, k, d in product(genera, ranks, levels, degrees):
-        q = VerlindeQuery(g, r, d, ParabolicData(r, k))
+        q = VerlindeQuery(g, d, ParabolicData(r, k))
         rows.append([g, r, k, d, 0, closed_formula_exact(q),
                      "yes" if q.ell_integral else "no"])
     import csv  # only table writes CSV

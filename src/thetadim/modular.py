@@ -281,27 +281,24 @@ def residues(q, prefactor: Fraction, M: int, powers) -> int:
     n = r + k
     N = r * n
     twist = (q.degree * n - omega_total(q.omega)) % N
-    # a rank-1 alternant is the 1 x 1 matrix (zeta**0), so only higher
-    # ranks need the points' exponents
-    lams = [lambda_of_point(pt, k) for pt in q.omega.points] if r > 1 else []
+    lams = [lambda_of_point(pt, k) for pt in q.omega.points]
     exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
     total, dens = 0, 1
     terms = v_orbits(r, k) if twist % r == 0 else \
         [(v, 1) for v in v_vectors(r, k)]
     for v, weight in terms:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
-        num, den = weight * powers[twist * sum(v) % N], 1
-        if exps:
-            vand = 1
-            for i in range(r):
-                for j in range(i + 1, r):
-                    vand = vand * (powers[x[i]] - powers[x[j]]) % M
-            den = pow(vand, len(exps), M)
-            for e in exps:
-                alt, scale = _det([[powers[ei * xj % N] for xj in x]
-                                   for ei in e], M)
-                num = num * alt % M
-                den = den * scale % M
+        num = weight * powers[twist * sum(v) % N]
+        vand = 1
+        for i in range(r):
+            for j in range(i + 1, r):
+                vand = vand * (powers[x[i]] - powers[x[j]]) % M
+        den = pow(vand, len(exps), M)
+        for e in exps:
+            alt, scale = _det([[powers[ei * xj % N] for xj in x]
+                               for ei in e], M)
+            num = num * alt % M
+            den = den * scale % M
         if g != 1:
             sines = 1                        # prod of (2 sin)^2 = 2 - a - 1/a
             for i in range(r):
@@ -357,11 +354,10 @@ def closed_sum(q, prefactor_powers: list) -> int:
     the last multiply to at most 2B, and the last and the witness are each
     below 2**(2E - 1), so M has at most log2 B + 4E - 1 bits."""
     N = q.rank * (q.rank + q.level)
-    powers = _bound_powers(q)
     try:
         log10 = sum(e * (math.log10(abs(b.numerator))
                          - math.log10(b.denominator))
-                    for b, e in prefactor_powers + powers)
+                    for b, e in prefactor_powers + _bound_powers(q))
     except OverflowError:                   # an exponent beyond any float
         log10 = math.inf
     if log10 >= MAX_DIGITS:
@@ -373,7 +369,7 @@ def closed_sum(q, prefactor_powers: list) -> int:
                              f"a modulus of up to {bits:.0f} bits passes "
                              f"{MAX_TABLE_BITS} bits")
     prefactor = math.prod(b ** e for b, e in prefactor_powers)
-    bound = abs(prefactor) * math.prod(b ** e for b, e in powers)
+    bound = magnitude_bound(q, prefactor)
     count, modulus = 0, 1
     while modulus <= 2 * bound:
         modulus *= prime_root(N, count)[0]

@@ -2,10 +2,10 @@
 
 Everything here is exact.  A Schur value S_lam(z_1, ..., z_r) with
 z_j = zeta_n**v_j is the bialternant ratio det(z_j**(lam_i + r - i)) over
-the Vandermonde determinant; both live in Q(zeta_n).  A brute-force
-evaluator sums monomials over semistandard tableaux and serves as the
-independent oracle.  The three orthogonality sums at the bottom are the
-engine behind the dimension recurrences; their checkers return exact
+its lam = 0 case, the Vandermonde determinant; both live in Q(zeta_n).  A
+brute-force evaluator sums monomials over semistandard tableaux and serves
+as the independent oracle.  The three orthogonality sums at the bottom are
+the engine behind the dimension recurrences; their checkers return exact
 residuals.
 """
 
@@ -96,36 +96,27 @@ def _perm_sign(perm) -> int:
     return -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1
 
 
-def alternant_counts(exps, v, n: int) -> list[int]:
-    """det(zeta_n**(exps[i] * v[j])) as the coefficient of each zeta_n**m.
-    Each Leibniz term is a single root power, so the sum is a signed count
-    per exponent mod n."""
-    r = len(exps)
+def alternant_counts(lam, v, n: int) -> list[int]:
+    """The alternant det(zeta_n**((lam + rho)_i v_j)), rho = (r - 1, ..., 0),
+    as the coefficient of each zeta_n**m.  Each Leibniz term is a single
+    root power, so the sum is a signed count per exponent mod n.  At lam = 0
+    it is the Vandermonde, the product of (zeta**v_i - zeta**v_j), i < j."""
+    r = len(v)
+    exps = [lam[i] + r - 1 - i for i in range(r)]
     counts = [0] * n
     for perm in permutations(range(r)):
         counts[sum(exps[i] * v[perm[i]] for i in range(r)) % n] += _perm_sign(perm)
     return counts
 
 
-def vandermonde(v, n: int) -> CycNum:
-    """Product of (zeta**v_i - zeta**v_j) over i < j."""
-    out = CycNum.one(n)
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            out = out * (root_power(n, v[i]) - root_power(n, v[j]))
-    return out
-
-
 @functools.lru_cache(maxsize=256)
 def _vandermonde_inverse(v, n: int) -> CycNum:
-    return vandermonde(v, n).inverse()
+    return CycNum(n, alternant_counts((0,) * len(v), v, n)).inverse()
 
 
 @functools.lru_cache(maxsize=16384)
 def _schur_cached(lam, v, n: int) -> CycNum:
-    r = len(v)
-    exps = tuple(lam[i] + r - 1 - i for i in range(r))
-    return CycNum(n, alternant_counts(exps, v, n)) * _vandermonde_inverse(v, n)
+    return CycNum(n, alternant_counts(lam, v, n)) * _vandermonde_inverse(v, n)
 
 
 def schur_at(lam, v, r: int, k: int) -> CycNum:

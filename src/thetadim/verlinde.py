@@ -35,17 +35,19 @@ from .weights import (ParabolicData, SplitContext, build_omega_mu,
                       omega_total, split_context, split_degrees)
 
 
-class VerlindeQuery(namedtuple("VerlindeQuery", "genus rank degree omega")):
-    """An immutable, hashable query: genus, rank, degree and parabolic data."""
+class VerlindeQuery(namedtuple("VerlindeQuery", "genus degree omega")):
+    """An immutable, hashable query: genus, degree and parabolic data."""
 
     __slots__ = ()
 
-    def __new__(cls, genus: int, rank: int, degree: int, omega: ParabolicData):
+    def __new__(cls, genus: int, degree: int, omega: ParabolicData):
         if genus < 0:
             raise ValueError("genus must be >= 0")
-        if rank != omega.rank:
-            raise ValueError("query rank must match the parabolic data")
-        return super().__new__(cls, genus, rank, degree, omega)
+        return super().__new__(cls, genus, degree, omega)
+
+    @property
+    def rank(self) -> int:
+        return self.omega.rank
 
     @property
     def level(self) -> int:
@@ -88,8 +90,7 @@ class VerifyReport(namedtuple("VerifyReport",
                                {} if detail is None else detail)
 
 
-def query(g: int, d: int, omega: ParabolicData) -> VerlindeQuery:
-    return VerlindeQuery(g, omega.rank, d, omega)
+query = VerlindeQuery
 
 
 @functools.lru_cache(maxsize=512)
@@ -148,9 +149,8 @@ def _schur_float(lam, v, n: int) -> tuple[complex, float]:
     """The Schur value and |Vandermonde|; the alternant is summed from
     `schur`'s exact signed count per root of unity."""
     r = len(v)
-    exps = [lam[i] + r - 1 - i for i in range(r)]
     num = sum(c * _root(m, n)
-              for m, c in enumerate(alternant_counts(exps, v, n)) if c)
+              for m, c in enumerate(alternant_counts(lam, v, n)) if c)
     z = [_root(vj, n) for vj in v]
     den = 1 + 0j
     for i in range(r):
@@ -183,7 +183,8 @@ def _float_error_units(r: int, n: int, g: int, points: int) -> int:
 def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
     """The closed sum in double precision, rounded, and the distance it was
     rounded by; refuses when its running error bound reaches 0.5, since the
-    rounded value could then be wrong."""
+    rounded value could then be wrong, or when a float overflows or
+    underflows to a zero divisor."""
     r, k, g, d = q.rank, q.level, q.genus, q.degree
     n = r + k
     N = r * n
@@ -192,22 +193,25 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
     alternant_size = float(math.factorial(r))
     total = 0j
     size = 0.0
-    for v in v_vectors(r, k):
-        term = _root(twist * sum(v), N)
-        term_size = 1.0
-        for lam in lams:
-            s, vand = _schur_float(lam, v, n)
-            term *= s
-            term_size *= alternant_size / vand
-        den = 1.0
-        for i in range(r):
-            for j in range(i + 1, r):
-                den *= (2.0 * math.sin(math.pi * (v[i] - v[j]) / n)) ** (2 * (g - 1))
-        total += term / den
-        size += term_size / den
-    pref = float(_prefactor(q))
-    total *= pref
-    value = round(total.real)
+    try:
+        for v in v_vectors(r, k):
+            term = _root(twist * sum(v), N)
+            term_size = 1.0
+            for lam in lams:
+                s, vand = _schur_float(lam, v, n)
+                term *= s
+                term_size *= alternant_size / vand
+            den = 1.0
+            for i in range(r):
+                for j in range(i + 1, r):
+                    den *= (2.0 * math.sin(math.pi * (v[i] - v[j]) / n)) ** (2 * (g - 1))
+            total += term / den
+            size += term_size / den
+        pref = float(_prefactor(q))
+        total *= pref
+        value = round(total.real)
+    except (OverflowError, ZeroDivisionError) as exc:   # out of float range
+        raise EvaluationError(f"float backend out of range: {exc}") from exc
     residual = abs(total - value)
     mu = _float_error_units(r, n, g, len(lams)) * 2.0 ** -53
     error = mu / (1.0 - mu) * abs(pref) * size
@@ -240,8 +244,7 @@ def genus_recurrence_rhs(q: VerlindeQuery) -> int:
         raise ValueError("genus recurrence needs genus >= 1")
     total = 0
     for mu in enumerate_Pk(q.rank, q.level):
-        sub = VerlindeQuery(q.genus - 1, q.rank, q.degree,
-                            build_omega_mu(q.omega, mu))
+        sub = VerlindeQuery(q.genus - 1, q.degree, build_omega_mu(q.omega, mu))
         total += dimension(sub)
     return total
 
@@ -257,8 +260,8 @@ def iter_split_terms(q: VerlindeQuery, ctx: SplitContext):
     for mu in enumerate_Qk(q.rank, q.level, ctx.n1):
         d1, d2 = split_degrees(mu, ctx)
         o1, o2 = build_split_omegas(q.omega, mu, ctx)
-        t1 = dimension(VerlindeQuery(ctx.g1, q.rank, int(d1), o1))
-        t2 = dimension(VerlindeQuery(ctx.g2, q.rank, int(d2), o2))
+        t1 = dimension(VerlindeQuery(ctx.g1, int(d1), o1))
+        t2 = dimension(VerlindeQuery(ctx.g2, int(d2), o2))
         yield mu, t1 * t2
 
 
@@ -284,8 +287,8 @@ def iter_wprime_terms(q: VerlindeQuery, ctx: SplitContext):
     for lam in enumerate_Wk_prime(q.rank, q.level,
                                   congruence_offset(q.omega, ctx.I1)):
         o1, o2 = build_split_omegas(q.omega, lam, ctx)
-        t1 = dimension(VerlindeQuery(ctx.g1, q.rank, 0, o1))
-        t2 = dimension(VerlindeQuery(ctx.g2, q.rank, q.degree, o2))
+        t1 = dimension(VerlindeQuery(ctx.g1, 0, o1))
+        t2 = dimension(VerlindeQuery(ctx.g2, q.degree, o2))
         yield lam, t1 * t2
 
 
@@ -304,8 +307,7 @@ def hecke_image(q: VerlindeQuery, label: str, m: int) -> VerlindeQuery:
     n1 = q.omega.point(label).flag[0]
     if not 1 <= m <= n1:
         raise ValueError(f"multiplicity must lie in [1, {n1}]")
-    return VerlindeQuery(q.genus, q.rank, q.degree - m,
-                         hecke_shift(q.omega, label, m))
+    return VerlindeQuery(q.genus, q.degree - m, hecke_shift(q.omega, label, m))
 
 
 def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
@@ -322,10 +324,12 @@ def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
 def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
            point: str | None = None, multiplicity: int | None = None,
            tol: float = 1e-6) -> VerifyReport:
-    """Evaluate one side-by-side check; ok means residual zero (exact modes),
-    or in backend mode the exact value equal to the cyclotomic oracle and the
-    float value within tolerance.  When the float backend refuses, the
-    report's rhs is the oracle and its detail says "float": "refused"."""
+    """Evaluate one side-by-side check; ok means residual zero (exact modes,
+    where it is the integer |lhs - rhs|), or in backend mode the exact value
+    equal to the cyclotomic oracle and the float value within tolerance.
+    When the float backend refuses, the report's rhs is the oracle, its
+    residual the integer |lhs - oracle|, and its detail says "float":
+    "refused"."""
     if mode not in ("genus", "split", "wprime", "hecke", "backend"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("split", "wprime") and ctx is None:
@@ -341,7 +345,7 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
             # a refused float value proves nothing either way; the exact
             # value must still equal the oracle
             return VerifyReport("backend", lhs == oracle, lhs, oracle,
-                                float(abs(lhs - oracle)), q,
+                                abs(lhs - oracle), q,
                                 {"cyclotomic": oracle, "float": "refused",
                                  "float_refusal": str(exc)})
         residual = abs(lhs - rhs) + float_residual
@@ -362,4 +366,4 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
         detail["point"] = point
     if multiplicity is not None:
         detail["multiplicity"] = multiplicity
-    return VerifyReport(mode, residual == 0, lhs, rhs, float(residual), q, detail)
+    return VerifyReport(mode, residual == 0, lhs, rhs, residual, q, detail)

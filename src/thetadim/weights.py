@@ -133,9 +133,6 @@ def enumerate_Pk(r: int, k: int):
 
 def enumerate_Wk(r: int, k: int):
     """Weights with k >= mu_1 >= ... >= mu_r = 0, lexicographic order."""
-    if r == 1:
-        yield (0,)
-        return
     for head in _bounded_nonincreasing(r - 1, k):
         yield head + (0,)
 

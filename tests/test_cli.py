@@ -568,6 +568,29 @@ def test_verify_broken_backend_detected(capsys, monkeypatch):
     assert rc == 1
 
 
+GENUS_600 = ["--genus-min", "600", "--genus-max", "600", "--rank-max", "2",
+             "--level-max", "2", "--samples", "0"]
+
+
+def test_float_out_of_range_is_a_refusal_not_a_crash(capsys):
+    assert main(["verify", "backend"] + GENUS_600) == 0
+    assert capsys.readouterr().out == "suite backend: 6 checks ok\n"
+
+
+def test_exact_residuals_stay_integers(capsys, monkeypatch):
+    # a wrong recurrence at values beyond any float fails with exit 1 and a
+    # counterexample document, in both output forms
+    monkeypatch.setattr(verlinde, "genus_recurrence_rhs", lambda q: 0)
+    assert main(["verify", "genus"] + GENUS_600) == 1
+    out = capsys.readouterr().out
+    assert "FAILED" in out and "counterexample document:" in out
+    assert main(["verify", "genus", "--json"] + GENUS_600) == 1
+    failures = json.loads(capsys.readouterr().out)["failures"]
+    assert failures and all(type(f["residual"]) is int
+                            and f["residual"] == f["lhs"] for f in failures)
+    assert max(f["residual"] for f in failures) > 2 ** 1024
+
+
 # -- enumerate -------------------------------------------------------------
 
 def test_enumerate_pk(capsys):

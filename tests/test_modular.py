@@ -445,6 +445,20 @@ def test_verify_backend_survives_a_float_refusal():
     assert "precision" in report.detail["float_refusal"]
 
 
+@pytest.mark.parametrize("level, cause", [(2, "Numerical result out of range"),
+                                          (10, "division by zero")])
+def test_verify_backend_survives_a_float_out_of_range(level, cause):
+    # at genus 600 the sine powers pass the float range: (2 sin)**1198
+    # overflows at level 2 and underflows to a zero divisor at level 10
+    q = query(600, 0, ParabolicData(2, level))
+    with pytest.raises(EvaluationError, match=cause):
+        verlinde.closed_formula_float(q)
+    report = verify(q, "backend")
+    assert report.ok and report.detail["float"] == "refused"
+    assert report.lhs == report.detail["cyclotomic"] > 2 ** 1024
+    assert report.residual == 0 and type(report.residual) is int
+
+
 def test_verify_backend_suite_reports_every_query(capsys):
     rc = main(["verify", "backend", "--rank-max", "3", "--level-max", "8",
                "--genus-min", "5", "--genus-max", "5", "--samples", "0",

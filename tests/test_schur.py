@@ -1,9 +1,9 @@
 import pytest
 
 from thetadim.cyclotomic import CycNum, root_power
-from thetadim.schur import (check_v, identity_52_check, identity_53_check,
-                            identity_54_check, schur_at, schur_brute, sin_sq,
-                            weyl_denominator)
+from thetadim.schur import (alternant_counts, check_v, identity_52_check,
+                            identity_53_check, identity_54_check, schur_at,
+                            schur_brute, sin_sq, weyl_denominator)
 from thetadim.verlinde import v_vectors
 from thetadim.weights import enumerate_Pk, mu_star
 
@@ -25,6 +25,20 @@ def test_schur_trivial_weight_is_one():
     for r, k in ((1, 2), (2, 1), (2, 2), (3, 2)):
         for v in v_vectors(r, k):
             assert schur_at((0,) * r, v, r, k) == 1
+
+
+def test_trivial_alternant_is_the_vandermonde():
+    # a_rho, the lam = 0 alternant, against the product it replaces
+    for r in range(1, 6):
+        for k in range(1, 4):
+            n = r + k
+            for v in v_vectors(r, k):
+                product = CycNum.one(n)
+                for i in range(r):
+                    for j in range(i + 1, r):
+                        product = product * (root_power(n, v[i])
+                                             - root_power(n, v[j]))
+                assert CycNum(n, alternant_counts((0,) * r, v, n)) == product
 
 
 def test_schur_small_examples():

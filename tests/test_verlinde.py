@@ -6,6 +6,7 @@ from types import SimpleNamespace
 
 import pytest
 
+import thetadim
 from thetadim import verlinde
 from thetadim.cli import (_random_point, _split_cases, document_to_query,
                           query_to_document)
@@ -115,11 +116,18 @@ def test_v_orbits_small_orbits():
 # -- closed formula --------------------------------------------------------
 
 def test_rank_one_dimensions():
-    # rank 1 collapses to k^g independent of degree
+    # rank 1 collapses to k^g independent of degree and marked points; the
+    # general alternant loop meets the 1 x 1 alternant and empty Vandermonde
     for g in range(0, 4):
-        for k in (1, 2, 3):
-            for d in (-1, 0, 2):
-                assert dimension(bare(g, 1, k, d)) == k ** g
+        for k in range(1, 5):
+            ws = range(k + 1)
+            for pts in [()] + [(w,) for w in ws] + [(a, b) for a in ws
+                                                     for b in ws]:
+                omega = ParabolicData(1, k, tuple(
+                    pt(f"p{i}", (1,), (w,)) for i, w in enumerate(pts)))
+                for d in range(-2, 3):
+                    assert dimension(query(g, d, omega)) == k ** g, \
+                        (g, k, pts, d)
 
 
 def test_sanity_dimensions():
@@ -159,8 +167,11 @@ def test_closed_term_sums_to_dimension():
 def test_query_validation():
     with pytest.raises(ValueError):
         query(-1, 0, ParabolicData(2, 2))
-    with pytest.raises(ValueError):
-        VerlindeQuery(1, 3, 0, ParabolicData(2, 2))
+    # the rank is read from the parabolic data, so it cannot disagree
+    assert VerlindeQuery._fields == ("genus", "degree", "omega")
+    assert query is VerlindeQuery and thetadim.query is VerlindeQuery
+    q = query(1, 0, ParabolicData(3, 2))
+    assert (q.rank, q.level) == (3, 2)
 
 
 def test_exact_result_is_integer():
@@ -397,7 +408,7 @@ def _hecke_image_by_rotation(q, label, m):
     moved = h_closed(tuple(entries), q.level, m)
     weights = sorted(set(moved))
     new = pt(label, [moved.count(a) for a in weights], weights)
-    return VerlindeQuery(q.genus, q.rank, q.degree - m,
+    return VerlindeQuery(q.genus, q.degree - m,
                          data.replace_point(label, new))
 
 
@@ -641,10 +652,8 @@ def test_constructors_turn_lists_into_int_tuples():
      "point p: weights must strictly increase"),
     (lambda: ParabolicData(2, 2, [pt("p", (1, 1), (0, 3))]),
      "point p: weights must lie in [0, level]"),
-    (lambda: VerlindeQuery(-1, 2, 0, ParabolicData(2, 2)),
+    (lambda: VerlindeQuery(-1, 0, ParabolicData(2, 2)),
      "genus must be >= 0"),
-    (lambda: VerlindeQuery(1, 3, 0, ParabolicData(2, 2)),
-     "query rank must match the parabolic data"),
     (lambda: IntPoly((1, 0)), "leading coefficient must be nonzero"),
 ])
 def test_validation_messages(build, message):

@@ -88,7 +88,8 @@ def test_enumerate_pk_examples():
 
 def test_enumerate_wk_examples():
     assert list(enumerate_Wk(2, 2)) == [(0, 0), (1, 0), (2, 0)]
-    assert list(enumerate_Wk(1, 4)) == [(0,)]
+    for k in range(1, 5):
+        assert list(enumerate_Wk(1, k)) == [(0,)]
 
 
 def test_enumeration_counts():
