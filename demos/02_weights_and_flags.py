@@ -40,7 +40,7 @@ for m in range(4):
 # the rotation count that lands a weight in W'_k is what the phi
 # bijection computes; a synthetic context stands in for a real surface
 n1 = Fraction(-1)
-ctx = SplitContext(1, 1, (), (), 1, 1, 0, n1, Fraction(0), 2, 2, n1 + 2)
+ctx = SplitContext(1, 1, (), 1, 1, n1, Fraction(0), 2, 2, n1 + 2)
 for mu in enumerate_Qk(2, 2, ctx.n1):
     print("phi", mu, "->", phi(mu, ctx), "-> back",
           phi_inverse(phi(mu, ctx), ctx))

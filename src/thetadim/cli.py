@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from collections import Counter
@@ -343,7 +342,7 @@ SUITES = {
         _verified("hecke", q, point=p.label, multiplicity=m)
         for q in _grid_queries(args, need_points=True) for p in q.omega.points
         for m in legal_hecke_multiplicities(q, p.label)],
-    "backend": lambda args: [_verified("backend", q, tol=args.tol)
+    "backend": lambda args: [_verified("backend", q)
                              for q in _grid_queries(args)],
 }
 
@@ -355,9 +354,6 @@ def cmd_verify(args) -> int:
     _at_least("--genus-max", args.genus_max, 0)
     _at_least("--pair-level-max", args.pair_level_max, 0)
     _at_least("--samples", args.samples, 0)
-    if not 0 <= args.tol < math.inf:
-        raise DocumentError(
-            [f"--tol: must be finite and nonnegative, got {args.tol}"])
     suites = {name: list(SUITES[name](args))
               for name in (SUITES if args.suite == "all" else [args.suite])}
     for name, checks in suites.items():  # every grid is built before any check
@@ -460,11 +456,10 @@ def cmd_table(args) -> int:
     _at_least("--rank", ranks.start, 1)
     _at_least("--level", levels.start, 1)
     _at_least("--limit", args.limit, 0)
-    est = _estimate(ranks, levels, len(genera) * len(degrees),
-                    math.inf if args.force else args.limit)
-    if est > args.limit and not args.force:
+    est = _estimate(ranks, levels, len(genera) * len(degrees), args.limit)
+    if est > args.limit:
         print(f"error: estimated term count {est} exceeds the limit "
-              f"{args.limit}; pass --force to run anyway", file=sys.stderr)
+              f"{args.limit}; raise --limit to run anyway", file=sys.stderr)
         return EXIT_INPUT
     if est > 1000:
         print(f"estimated term count: {est}", file=sys.stderr)
@@ -526,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--genus-max", type=int, default=2)
     p.add_argument("--samples", type=int, default=2)
     p.add_argument("--seed", type=int, default=20260822)
-    p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_verify)
 
@@ -548,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degree", default="0")
     p.add_argument("--limit", type=int, default=20000,
                    help="refuse runs whose estimated term count exceeds this")
-    p.add_argument("--force", action="store_true")
     p.set_defaults(fn=cmd_table)
 
     p = sub.add_parser("hecke", help="transform a document by a Hecke move")

@@ -158,8 +158,6 @@ class CycNum:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return CycNum.zero(self.order)
             return CycNum(self.order, [a * other for a in self.coeffs])
         if not isinstance(other, CycNum):
             return NotImplemented

@@ -288,17 +288,18 @@ def residues(q, prefactor: Fraction, M: int, powers) -> int:
         [(v, 1) for v in v_vectors(r, k)]
     for v, weight in terms:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
-        num = weight * powers[twist * sum(v) % N]
-        vand = 1
-        for i in range(r):
-            for j in range(i + 1, r):
-                vand = vand * (powers[x[i]] - powers[x[j]]) % M
-        den = pow(vand, len(exps), M)
-        for e in exps:
-            alt, scale = _det([[powers[ei * xj % N] for xj in x]
-                               for ei in e], M)
-            num = num * alt % M
-            den = den * scale % M
+        num, den = weight * powers[twist * sum(v) % N], 1
+        if exps:                    # a point-less query needs no Vandermonde
+            vand = 1
+            for i in range(r):
+                for j in range(i + 1, r):
+                    vand = vand * (powers[x[i]] - powers[x[j]]) % M
+            den = pow(vand, len(exps), M)
+            for e in exps:
+                alt, scale = _det([[powers[ei * xj % N] for xj in x]
+                                   for ei in e], M)
+                num = num * alt % M
+                den = den * scale % M
         if g != 1:
             sines = 1                        # prod of (2 sin)^2 = 2 - a - 1/a
             for i in range(r):

@@ -140,9 +140,6 @@ def schur_brute(lam, v, r: int, k: int) -> CycNum:
     n = r + k
     rows = [size for size in lam if size > 0]
     total = CycNum.zero(n)
-    if not rows:
-        return CycNum.one(n)
-
     cells = [(i, j) for i, size in enumerate(rows) for j in range(size)]
     entries = {}
 

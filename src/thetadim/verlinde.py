@@ -145,20 +145,6 @@ def _root(m: int, n: int) -> complex:
     return cmath.rect(1.0, 2.0 * math.pi * (m % n) / n)
 
 
-def _schur_float(lam, v, n: int) -> tuple[complex, float]:
-    """The Schur value and |Vandermonde|; the alternant is summed from
-    `schur`'s exact signed count per root of unity."""
-    r = len(v)
-    num = sum(c * _root(m, n)
-              for m, c in enumerate(alternant_counts(lam, v, n)) if c)
-    z = [_root(vj, n) for vj in v]
-    den = 1 + 0j
-    for i in range(r):
-        for j in range(i + 1, r):
-            den *= z[i] - z[j]
-    return num / den, abs(den)
-
-
 def _float_error_units(r: int, n: int, g: int, points: int) -> int:
     """m such that the float sum is off by at most gamma_m = m u / (1 - m u)
     times |prefactor| times the sum of its terms with every alternant
@@ -197,10 +183,17 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
         for v in v_vectors(r, k):
             term = _root(twist * sum(v), N)
             term_size = 1.0
-            for lam in lams:
-                s, vand = _schur_float(lam, v, n)
-                term *= s
-                term_size *= alternant_size / vand
+            if lams:            # one Vandermonde per v serves every point
+                z = [_root(vj, n) for vj in v]
+                vand = 1 + 0j
+                for i in range(r):
+                    for j in range(i + 1, r):
+                        vand *= z[i] - z[j]
+            for lam in lams:    # Schur value: alternant / Vandermonde, the
+                # alternant summed from `schur`'s exact signed counts
+                term *= sum(c * _root(m, n) for m, c in
+                            enumerate(alternant_counts(lam, v, n)) if c) / vand
+                term_size *= alternant_size / abs(vand)
             den = 1.0
             for i in range(r):
                 for j in range(i + 1, r):
@@ -321,15 +314,19 @@ def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
 # -- verification ----------------------------------------------------------
 
 
+# backend mode's bound on the float residual, relative to max(1, |value|)
+BACKEND_TOL = 1e-6
+
+
 def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
-           point: str | None = None, multiplicity: int | None = None,
-           tol: float = 1e-6) -> VerifyReport:
+           point: str | None = None,
+           multiplicity: int | None = None) -> VerifyReport:
     """Evaluate one side-by-side check; ok means residual zero (exact modes,
     where it is the integer |lhs - rhs|), or in backend mode the exact value
-    equal to the cyclotomic oracle and the float value within tolerance.
-    When the float backend refuses, the report's rhs is the oracle, its
-    residual the integer |lhs - oracle|, and its detail says "float":
-    "refused"."""
+    equal to the cyclotomic oracle and the float residual at most
+    BACKEND_TOL * max(1, |value|).  When the float backend refuses, the
+    report's rhs is the oracle, its residual the integer |lhs - oracle|, and
+    its detail says "float": "refused"."""
     if mode not in ("genus", "split", "wprime", "hecke", "backend"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("split", "wprime") and ctx is None:
@@ -349,7 +346,7 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
                                 {"cyclotomic": oracle, "float": "refused",
                                  "float_refusal": str(exc)})
         residual = abs(lhs - rhs) + float_residual
-        ok = lhs == oracle and residual <= tol * max(1, abs(lhs))
+        ok = lhs == oracle and residual <= BACKEND_TOL * max(1, abs(lhs))
         return VerifyReport("backend", ok, lhs, rhs, residual, q,
                             {"cyclotomic": oracle,
                              "float_residual": float_residual})

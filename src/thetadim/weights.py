@@ -154,11 +154,11 @@ def congruence_offset(omega: ParabolicData, side_labels) -> int:
 # -- splitting a query in two ----------------------------------------------
 
 
-class SplitContext(namedtuple("SplitContext", "g1 g2 I1 I2 c1 c2 ell n1 n2 "
+class SplitContext(namedtuple("SplitContext", "g1 g2 I1 c1 c2 n1 n2 "
                                                "rank level degree")):
     """Everything a two-factor recurrence needs to know about how the query
-    was cut: genus split, point split, twisting split, and the derived
-    rational prefactors n1/n2 of the induced degrees."""
+    was cut: genus split, the points of side 1, twisting split, and the
+    derived rational prefactors n1/n2 of the induced degrees."""
 
     __slots__ = ()
 
@@ -184,7 +184,6 @@ def split_context(omega: ParabolicData, g: int, d: int, I1_labels, g1: int,
     known = set(omega.labels())
     if len(set(I1)) != len(I1) or any(x not in known for x in I1):
         raise ValueError("I1 must name distinct existing points")
-    I2 = tuple(x for x in omega.labels() if x not in set(I1))
     l = ell(omega, g, d)
     if l.denominator != 1:
         raise ValueError(f"twisting number {l} is not an integer")
@@ -192,8 +191,8 @@ def split_context(omega: ParabolicData, g: int, d: int, I1_labels, g1: int,
         if (Fraction(c * l, c1 + c2)).denominator != 1:
             raise ValueError("twisting split is not integral")
     n1, n2 = n_split(omega, int(l), c1, c2, I1)
-    return SplitContext(g1, g - g1, I1, I2, c1, c2, int(l), n1, n2,
-                        omega.rank, omega.level, d)
+    return SplitContext(g1, g - g1, I1, c1, c2, n1, n2, omega.rank,
+                        omega.level, d)
 
 
 def split_degrees(mu: Weight, ctx: SplitContext) -> tuple[Fraction, Fraction]:
@@ -297,10 +296,7 @@ def hecke_shift(omega: ParabolicData, label: str, s: int) -> ParabolicData:
     p, k = data.point(label), omega.level
     if s and p.weights[-1] >= k:
         raise ValueError(f"point {label}: top weight already at the level")
-    m = s % omega.rank
-    if m == 0:
-        return data
-    mu = h_iter(mu_star(lambda_of_point(p, k), k), k, m)
+    mu = h_iter(mu_star(lambda_of_point(p, k), k), k, s % omega.rank)
     return data.replace_point(label, _point_from_entries(label, mu))
 
 
@@ -308,16 +304,15 @@ def hecke_shift(omega: ParabolicData, label: str, s: int) -> ParabolicData:
 
 
 def h_step(mu: Weight, k: int) -> Weight:
-    """One step of the weight rotation: the bottom entry wraps to the top."""
+    """One step of the weight rotation: the bottom entry wraps to the top,
+    raised by k, and every entry is shifted so the new bottom one is 0."""
     r = len(mu)
     if any(mu[i] < mu[i + 1] for i in range(r - 1)):
         raise ValueError("weight must be nonincreasing")
     if mu[0] > k or mu[-1] < 0:
         raise ValueError("weight entries must lie in [0, level]")
-    if r == 1:
-        return (0,)
-    pivot = mu[-2]
-    return (k - pivot + mu[-1],) + tuple(mu[j] - pivot for j in range(r - 2)) + (0,)
+    rot = (mu[-1] + k,) + mu[:-1]
+    return tuple(x - rot[-1] for x in rot)
 
 
 def h_iter(mu: Weight, k: int, m: int) -> Weight:

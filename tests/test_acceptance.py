@@ -230,8 +230,8 @@ def test_criterion_08_rotation_bijection():
             for n1 in (-2, -1, 0, 1, 2):
                 for g1 in (0, 1, 2):
                     frac_n1 = Fraction(n1)
-                    ctx = SplitContext(g1, 1, (), (), 1, 1, 0, frac_n1,
-                                       Fraction(0), r, k, frac_n1 + r * g1)
+                    ctx = SplitContext(g1, 1, (), 1, 1, frac_n1, Fraction(0),
+                                       r, k, frac_n1 + r * g1)
                     Qk = list(enumerate_Qk(r, k, ctx.n1))
                     Wp = list(enumerate_Wk_prime(r, k, (k * n1) % r))
                     images = [phi(mu, ctx) for mu in Qk]

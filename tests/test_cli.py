@@ -690,11 +690,24 @@ def test_table_cost_guard_refuses_before_building(capsys, argv):
     assert "exceeds the limit 20000" in captured.err
 
 
-def test_table_force_overrides_guard(capsys):
-    rc = main(["table", "--genus", "1", "--rank", "2", "--level", "2",
-               "--limit", "1", "--force"])
-    assert rc == 0
+def test_table_raised_limit_overrides_guard(capsys):
+    argv = ["table", "--genus", "1", "--rank", "2", "--level", "2"]
+    assert main([*argv, "--limit", "1"]) == 2
+    assert "raise --limit to run anyway" in capsys.readouterr().err
+    assert main([*argv, "--limit", "3"]) == 0      # C(3, 1) = 3 terms
     assert "g,r,k,d" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "backend", "--tol", "1e-3"],
+    ["table", "--genus", "1", "--rank", "2", "--level", "2", "--force"],
+])
+def test_removed_options_are_unrecognized(capsys, argv):
+    # the backend tolerance is fixed, and --limit alone bounds a table
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_table_bad_range(capsys):
@@ -724,8 +737,6 @@ def test_table_bad_range(capsys):
     (["verify", "split", "--genus-max", "1"], "suite split"),
     (["verify", "genus", "--genus-min", "3", "--genus-max", "2"],
      "suite genus"),
-    (["verify", "backend", "--tol", "-1"], "--tol"),
-    (["verify", "backend", "--tol", "nan"], "--tol"),
     (["table", "--genus", "1", "--rank", "2", "--level", "2",
       "--limit", "-1"], "--limit"),
 ])

@@ -166,6 +166,29 @@ def test_cli_choices_come_from_tables():
     assert spelled == []
 
 
+def test_every_cli_option_is_read():
+    # an option that no command reads as args.<dest> is a setting with no
+    # effect; --version prints and exits, so it has nothing to read
+    tree = ast.parse((SRC / "thetadim" / "cli.py").read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    dests = set()
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and getattr(node.func, "attr", None) == "add_argument"):
+            continue
+        kw = {k.arg: k.value.value for k in node.keywords
+              if isinstance(k.value, ast.Constant)}
+        if kw.get("action") == "version":
+            continue
+        names = [a.value for a in node.args]
+        name = next((n for n in names if n.startswith("--")), names[0])
+        dests.add(kw.get("dest", name.lstrip("-").replace("-", "_")))
+    assert {"document", "cache_dir", "rank_max", "n1", "limit"} <= dests
+    assert sorted(dests - read) == []
+
+
 def _unused_imports(path):
     tree = ast.parse(path.read_text())
     imported = set()

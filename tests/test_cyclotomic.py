@@ -59,6 +59,7 @@ def test_scale_and_subtract():
     z = root_power(8, 1)
     a = 3 * z - z * 2
     assert a == z
+    assert z * 0 == 0 * z == CycNum.zero(8)
     assert (Fraction(1, 2) * z + Fraction(1, 2) * z) == z
 
 

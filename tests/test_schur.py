@@ -60,6 +60,8 @@ def test_schur_brute_agrees():
                 assert schur_at(lam, v, r, k) == schur_brute(lam, v, r, k)
                 checked += 1
     assert checked > 50
+    # the empty shape has one tableau, the empty one, with monomial 1
+    assert schur_brute((0, 0, 0), (3, 1, 0), 3, 2) == 1
 
 
 def test_schur_brute_guard():

@@ -543,7 +543,7 @@ def test_closed_sum_vanishes_when_ell_is_not_integral():
 # -- backends and memoization ----------------------------------------------
 
 def test_backend_verify_mode():
-    rep = verify(bare(2, 2, 2), "backend", tol=1e-6)
+    rep = verify(bare(2, 2, 2), "backend")
     assert rep.ok
     assert rep.residual < 1e-6
 

@@ -20,8 +20,7 @@ def pt(label, flag, weights):
 def synthetic_ctx(r, k, n1, g1=1):
     # a free-standing context for weight-level tests; degree is forced consistent
     n1 = Fraction(n1)
-    return SplitContext(g1, 1, (), (), 1, 1, 0, n1, Fraction(0), r, k,
-                        n1 + r * g1)
+    return SplitContext(g1, 1, (), 1, 1, n1, Fraction(0), r, k, n1 + r * g1)
 
 
 # -- data validation -------------------------------------------------------
@@ -138,7 +137,8 @@ def test_n_split_example():
 def test_split_context_and_degrees():
     omega = ParabolicData(2, 2)
     ctx = split_context(omega, 2, 0, (), 1, 1, 1)
-    assert ctx.ell == -2
+    assert ctx._fields == ("g1", "g2", "I1", "c1", "c2", "n1", "n2", "rank",
+                           "level", "degree")
     assert (ctx.n1, ctx.n2) == (Fraction(-1), Fraction(-1))
     d1, d2 = split_degrees((0, 0), ctx)
     assert (d1, d2) == (Fraction(-1), Fraction(1))
@@ -303,6 +303,11 @@ def test_hecke_shift_matches_moves():
         assert hecke_shift(omega, "z", s + 3) == hecke_shift(omega, "z", s)
     # s = 0 only normalizes
     assert hecke_shift(omega, "z", 0) == omega
+    # so do s = 0 and s = r at a point whose bottom weight is not 0
+    lifted = ParabolicData(3, 3, (pt("z", (2, 1), (1, 2)),))
+    assert normalize_point(lifted, "z").point("z").weights == (0, 1)
+    for s in (0, 3):
+        assert hecke_shift(lifted, "z", s) == normalize_point(lifted, "z")
 
 
 def test_hecke_shift_on_one_block_point():
