@@ -690,7 +690,8 @@ def test_table_cost_guard_refuses_before_building(capsys, argv):
     assert "exceeds the limit 20000" in captured.err
 
 
-def test_table_raised_limit_overrides_guard(capsys):
+def test_table_force_overrides_guard(capsys):
+    # a raised --limit forces a run that a lower one refuses
     argv = ["table", "--genus", "1", "--rank", "2", "--level", "2"]
     assert main([*argv, "--limit", "1"]) == 2
     assert "raise --limit to run anyway" in capsys.readouterr().err
@@ -737,6 +738,8 @@ def test_table_bad_range(capsys):
     (["verify", "split", "--genus-max", "1"], "suite split"),
     (["verify", "genus", "--genus-min", "3", "--genus-max", "2"],
      "suite genus"),
+    (["verify", "genus", "--genus-max", "-1"], "--genus-max"),
+    (["table", "--genus", "1", "--rank", "2", "--level", "0:3"], "--level"),
     (["table", "--genus", "1", "--rank", "2", "--level", "2",
       "--limit", "-1"], "--limit"),
 ])
