@@ -19,14 +19,15 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, product
+from time import perf_counter
 
 from . import __version__
 from .cyclotomic import NotRationalError
 from .modular import OversizedQuery
 from .schur import identity_52_check, identity_53_check, identity_54_check
 from .verlinde import (EvaluationError, VerlindeQuery, closed_formula_exact,
-                       hecke_image, legal_hecke_multiplicities, v_vectors,
-                       verify)
+                       hecke_image, legal_hecke_multiplicities, memo_info,
+                       v_vectors, verify)
 from .weights import (MarkedPoint, ParabolicData, SplitContext,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk,
                       enumerate_Wk_prime, split_context)
@@ -359,13 +360,19 @@ def cmd_verify(args) -> int:
     for name, checks in suites.items():  # every grid is built before any check
         if not checks:
             raise DocumentError([f"suite {name} ran no checks"])
-    by_suite = {name: [f for f in (check() for check in checks) if f]
-                for name, checks in suites.items()}
+    by_suite, seconds, memo = {}, {}, {}
+    for name, checks in suites.items():
+        before, start = memo_info(), perf_counter()
+        by_suite[name] = [f for f in (check() for check in checks) if f]
+        seconds[name] = perf_counter() - start
+        after = memo_info()
+        memo[name] = {"hits": after.hits - before.hits,
+                      "misses": after.misses - before.misses}
     failures = [f for fails in by_suite.values() for f in fails]
     if args.json:
         print(json.dumps({"suites": {n: len(c) for n, c in suites.items()},
-                          "failures": failures, "ok": not failures},
-                         sort_keys=True))
+                          "failures": failures, "ok": not failures,
+                          "seconds": seconds, "memo": memo}, sort_keys=True))
     else:
         for name, checks in suites.items():
             status = "ok" if not by_suite[name] else "FAILED"

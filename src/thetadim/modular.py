@@ -61,6 +61,25 @@ twist = 0 (mod r) exactly when ell is an integer, and then every term is
 constant on its orbit.  (When ell is not an integer the same law makes each
 orbit's terms sum to 0; the code does not use that.)  Other queries sum
 every v, each with weight 1.
+
+A point with one block changes no term, so `verlinde.closed_formula_exact`
+drops it before calling `closed_sum`.  Its partition is lam = (c**r) with
+c = k - a: the trivial SU(r) representation, which cannot change the
+dimension by propagation of vacua (Beauville, *Conformal blocks, fusion
+rules and the Verlinde formula*, 1996).  Term by term:
+
+- the alternant of lam is (prod z)**c times the Vandermonde, so
+  S_lam(zeta_n**v) = zeta_n**(c |v|);
+- dropping the point lowers |omega| by r c, so the twist factor
+  zeta_N**(twist |v|) gains zeta_N**(r c |v|) = zeta_n**(c |v|), exactly
+  the factor the Schur value took away;
+- the sine product does not see the points.
+
+Again every step is a polynomial identity, so it holds mod M.  Nothing
+else moves: ell keeps its value, since the point's jump sum is 0; the
+bound B keeps its value, since dim V_lam = 1, and with it the primes and
+the OversizedQuery refusals; and twist mod r keeps its value, since r c
+= 0 (mod r), so the query takes the same orbit-or-every-v branch.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
 The exact backend evaluates it modulo a product of primes and rebuilds the
 integer (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept
-as its oracle.  `dimension` is the exact value, memoized per query.  The
-float backend mirrors the same sum in double precision, bounds its rounding
-error and rounds; it serves only as `verify`'s cross-check.
+as its oracle.  `dimension` is the exact value, memoized on the points as
+an unlabeled multiset.  The float backend mirrors the same sum in double
+precision, bounds its rounding error and rounds; it serves only as
+`verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant builds each factor from its weight in W'_k at
@@ -28,9 +29,9 @@ from .cyclotomic import CycNum, root_power
 from .modular import EvaluationError, closed_sum
 from .schur import (alternant_counts, check_v, s_omega, v_vectors,
                     weyl_denominator)
-from .weights import (ParabolicData, SplitContext, build_omega_mu,
-                      build_split_omegas, congruence_offset, ell,
-                      enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
+from .weights import (MarkedPoint, ParabolicData, SplitContext,
+                      build_omega_mu, build_split_omegas, congruence_offset,
+                      ell, enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
                       hecke_shift, lambda_of_point, normalize_point,
                       omega_total, split_context, split_degrees)
 
@@ -122,7 +123,12 @@ def _prefactor(q: VerlindeQuery) -> Fraction:
 
 
 def closed_formula_exact(q: VerlindeQuery) -> int:
-    """The closed sum by multi-modular evaluation."""
+    """The closed sum by multi-modular evaluation, without the query's
+    one-block points, which change no term (the one-block lemma of
+    `thetadim.modular`)."""
+    points = tuple(p for p in q.omega.points if len(p.flag) > 1)
+    if len(points) < len(q.omega.points):
+        q = q._replace(omega=q.omega._replace(points=points))
     return closed_sum(q, _prefactor_powers(q))
 
 
@@ -218,14 +224,26 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
 
 
 @functools.lru_cache(maxsize=8192)
+def _dimension(key) -> int:
+    g, d, r, k, points = key
+    pts = [MarkedPoint(f"p{i}", f, w) for i, (f, w) in enumerate(points)]
+    return closed_formula_exact(VerlindeQuery(g, d, ParabolicData(r, k, pts)))
+
+
 def dimension(q: VerlindeQuery) -> int:
-    """The exact dimension, memoized on the (immutable, hashable) query in a
-    bounded LRU."""
-    return closed_formula_exact(q)
+    """The exact dimension, memoized in a bounded LRU on the genus, degree,
+    rank, level and the sorted (flag, weights) pairs of the points.  The
+    closed sum reads the points only as a multiset of partitions (in
+    `residues`, `magnitude_bound` and `omega_total`, through products and
+    sums over them), so relabeled or reordered points share one entry."""
+    return _dimension((q.genus, q.degree, q.rank, q.level, tuple(sorted(
+        (p.flag, p.weights) for p in q.omega.points))))
 
 
-# bound to the cache itself, so it still clears after `dimension` is rewrapped
-clear_memo = dimension.cache_clear
+dimension.cache_info = _dimension.cache_info
+# bound to the cache itself, so they still work after `dimension` is rewrapped
+clear_memo = _dimension.cache_clear
+memo_info = _dimension.cache_info
 
 
 # -- recurrences -----------------------------------------------------------

@@ -469,11 +469,29 @@ SUITE_COUNTS = {"identities": 135, "genus": 108, "split": 19, "wprime": 19,
                 "hecke": 139, "backend": 108}
 
 
+# the `dimension` memo's hits and misses per suite of `verify all`, which
+# shares one memo across its suites in table order
+MEMO_COUNTS = {"identities": (0, 0), "genus": (130, 404), "split": (48, 39),
+               "wprime": (72, 15), "hecke": (199, 79), "backend": (108, 0)}
+
+
+def _pop_seconds(payload, names):
+    """Remove and check the per-suite wall seconds, the one key of
+    `verify --json` that is not deterministic."""
+    seconds = payload.pop("seconds")
+    assert list(seconds) == sorted(names)
+    assert all(type(s) is float and s >= 0 for s in seconds.values())
+
+
 def test_verify_all_defaults_are_pinned(capsys):
     # a table entry that drops, duplicates or reorders checks changes these
     assert main(["verify", "all", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "suites": SUITE_COUNTS, "failures": [], "ok": True}
+    payload = json.loads(capsys.readouterr().out)
+    _pop_seconds(payload, SUITE_COUNTS)
+    assert payload == {
+        "suites": SUITE_COUNTS, "failures": [], "ok": True,
+        "memo": {name: {"hits": h, "misses": m}
+                 for name, (h, m) in MEMO_COUNTS.items()}}
     assert main(["verify", "all"]) == 0
     assert capsys.readouterr().out.splitlines() == [
         f"suite {name}: {n} checks ok" for name, n in SUITE_COUNTS.items()]
@@ -484,8 +502,10 @@ def test_a_suite_is_one_table_entry(capsys, monkeypatch):
                "document": None}
     monkeypatch.setitem(cli.SUITES, "fake", lambda args: [lambda: None] * 2)
     assert main(["verify", "fake", "--json"]) == 0
-    assert json.loads(capsys.readouterr().out) == {
-        "suites": {"fake": 2}, "failures": [], "ok": True}
+    payload = json.loads(capsys.readouterr().out)
+    _pop_seconds(payload, ["fake"])
+    assert payload == {"suites": {"fake": 2}, "failures": [], "ok": True,
+                       "memo": {"fake": {"hits": 0, "misses": 0}}}
     monkeypatch.setitem(cli.SUITES, "fake",
                         lambda args: [lambda: None, lambda: failure])
     assert main(["verify", "all"] + SMALL) == 1

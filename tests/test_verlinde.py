@@ -5,6 +5,7 @@ from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import thetadim
 from thetadim import verlinde
@@ -13,11 +14,12 @@ from thetadim.cli import (_random_point, _split_cases, document_to_query,
 from thetadim.cyclotomic import IntPoly, root_power
 from thetadim.schur import v_orbits
 from thetadim.verlinde import (VerifyReport, VerlindeQuery, clear_memo,
-                               closed_formula_exact, closed_formula_float,
-                               closed_term, dimension, genus_recurrence_rhs,
-                               hecke_image, iter_split_terms,
-                               iter_wprime_terms, legal_hecke_multiplicities,
-                               query, split_recurrence_rhs, v_vectors, verify,
+                               closed_formula_cyclotomic, closed_formula_exact,
+                               closed_formula_float, closed_term, dimension,
+                               genus_recurrence_rhs, hecke_image,
+                               iter_split_terms, iter_wprime_terms,
+                               legal_hecke_multiplicities, query,
+                               split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
 from thetadim.weights import (MarkedPoint, ParabolicData, build_split_omegas,
                               congruence_offset, enumerate_Wk_prime, h_closed,
@@ -620,6 +622,85 @@ def test_equal_queries_share_a_dimension_memo_entry():
     assert a.canonical_key() == (
         '{"degree":0,"genus":1,"level":2,"points":[{"flag":[2,1],'
         '"label":"p","weights":[0,1]}],"rank":3}')
+
+
+def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
+    p, x = pt("p", (2, 1), (0, 1)), pt("x", (3,), (1,))
+    first = query(1, 0, ParabolicData(3, 2, (p, x)))
+    renamed = query(1, 0, ParabolicData(3, 2, (x._replace(label="b"),
+                                               p._replace(label="a"))))
+    assert renamed != first
+    value = dimension(first)
+    assert dimension(renamed) == value
+    info = dimension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    # one changed weight is another entry
+    moved = query(1, 0, ParabolicData(3, 2, (p, x._replace(weights=(2,)))))
+    dimension(moved)
+    info = dimension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+
+
+def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
+    seen = []
+    real = verlinde.closed_sum
+
+    def spy(q, prefactor_powers):
+        seen.append(q)
+        return real(q, prefactor_powers)
+
+    monkeypatch.setattr(verlinde, "closed_sum", spy)
+    count = 0
+    for r, k, g, d in itertools.product(range(1, 5), range(1, 5), range(3),
+                                        range(2)):
+        # the one-block point at every weight, beside a two-block point
+        for a in range(k + 1):
+            pts = (pt("x", (r,), (a,)),) + (
+                (pt("p", (1, r - 1), (0, 1)),) if r > 1 else ())
+            q = query(g, d, ParabolicData(r, k, pts))
+            assert closed_formula_exact(q) == closed_formula_cyclotomic(q), q
+            count += 1
+    assert len(seen) == count == 336
+    # each sum keeps the two-block point alone
+    assert all(len(q.omega.points) == (q.rank > 1) for q in seen)
+    assert all(len(p.flag) > 1 for q in seen for p in q.omega.points)
+
+
+@st.composite
+def _queries(draw):
+    """Rank <= 3, level <= 4, genus <= 2, any degree from -r to 2r, and 0-3
+    points, among them one-block points and repeats of an earlier point."""
+    r, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    g, d = draw(st.integers(0, 2)), draw(st.integers(-r, 2 * r))
+    specs = []
+    for _ in range(draw(st.integers(0, 3))):
+        if specs and draw(st.booleans()):
+            specs.append(draw(st.sampled_from(specs)))
+            continue
+        blocks = draw(st.integers(1, min(r, k + 1)))
+        cuts = sorted(draw(st.sets(st.integers(1, r - 1), min_size=blocks - 1,
+                                   max_size=blocks - 1))) if blocks > 1 else []
+        flag = [b - a for a, b in zip([0] + cuts, cuts + [r])]
+        weights = sorted(draw(st.sets(st.integers(0, k), min_size=blocks,
+                                      max_size=blocks)))
+        specs.append((flag, weights))
+    return query(g, d, ParabolicData(r, k, [
+        pt(f"p{i}", f, w) for i, (f, w) in enumerate(specs)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=_queries(), data=st.data())
+def test_exact_backend_equals_oracle_and_ignores_labels(q, data):
+    value = closed_formula_exact(q)
+    assert value == closed_formula_cyclotomic(q)
+    # a random relabeling and permutation of the points
+    points = data.draw(st.permutations(q.omega.points))
+    labels = data.draw(st.lists(st.text(min_size=1, max_size=3),
+                                min_size=len(points), max_size=len(points),
+                                unique=True))
+    omega = ParabolicData(q.rank, q.level, [
+        p._replace(label=label) for p, label in zip(points, labels)])
+    assert dimension(query(q.genus, q.degree, omega)) == value
 
 
 def test_constructors_turn_lists_into_int_tuples():
