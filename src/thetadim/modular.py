@@ -62,24 +62,34 @@ constant on its orbit.  (When ell is not an integer the same law makes each
 orbit's terms sum to 0; the code does not use that.)  Other queries sum
 every v, each with weight 1.
 
-A point with one block changes no term, so `verlinde.closed_formula_exact`
-drops it before calling `closed_sum`.  Its partition is lam = (c**r) with
-c = k - a: the trivial SU(r) representation, which cannot change the
-dimension by propagation of vacua (Beauville, *Conformal blocks, fusion
-rules and the Verlinde formula*, 1996).  Term by term:
+A point counts only modulo full columns of its partition, so
+`verlinde.closed_formula_exact` shifts each point's weights until the top
+one is the level.  Let every weight of a point rise by c, so that its
+partition lam = (level - a_i, each n_i times) becomes lam - c (1**r).
+Term by term:
 
-- the alternant of lam is (prod z)**c times the Vandermonde, so
-  S_lam(zeta_n**v) = zeta_n**(c |v|);
-- dropping the point lowers |omega| by r c, so the twist factor
-  zeta_N**(twist |v|) gains zeta_N**(r c |v|) = zeta_n**(c |v|), exactly
-  the factor the Schur value took away;
+- the exponents lam_i + r - 1 - i of the alternant all fall by c, so the
+  alternant, and with it S_lam(zeta_n**v), gains (prod z)**-c =
+  zeta_n**(-c |v|);
+- |omega| falls by r c, so the twist factor zeta_N**(twist |v|) gains
+  zeta_N**(r c |v|) = zeta_n**(c |v|), exactly the factor the Schur
+  value lost;
 - the sine product does not see the points.
 
-Again every step is a polynomial identity, so it holds mod M.  Nothing
-else moves: ell keeps its value, since the point's jump sum is 0; the
-bound B keeps its value, since dim V_lam = 1, and with it the primes and
-the OversizedQuery refusals; and twist mod r keeps its value, since r c
-= 0 (mod r), so the query takes the same orbit-or-every-v branch.
+Every step is a polynomial identity, so it holds mod M.  Nothing else
+moves: ell keeps its value, since the point's jumps are the same; the
+bound B keeps its value, since dim V_lam reads only the differences
+lam_i - lam_j, and with it the primes and the OversizedQuery refusals;
+and twist mod r keeps its value, since r c = 0 (mod r), so the query
+takes the same orbit-or-every-v branch.  So the sum sees a point only
+through lam - lam_r, and `verlinde.dimension` keys its memo on that.
+
+A point with one block is the case lam = (c**r), c = k - a, of this
+lemma: shifted to the level its partition is 0, the trivial SU(r)
+representation, which cannot change the dimension by propagation of
+vacua (Beauville, *Conformal blocks, fusion rules and the Verlinde
+formula*, 1996).  Its Schur value is then 1 and dim V_0 = 1, so
+`closed_formula_exact` drops it.
 """
 
 from __future__ import annotations

@@ -36,7 +36,8 @@ def check_v(v, r: int, k: int) -> tuple[int, ...]:
 
 def v_vectors(r: int, k: int):
     """Strictly decreasing vectors (v_1, ..., v_(r-1), 0) with v_1 < r + k."""
-    for combo in combinations(range(1, r + k), r - 1):
+    # combinations() copies its pool, which rank 1 does not draw from
+    for combo in combinations(range(1, r + k) if r > 1 else (), r - 1):
         yield tuple(sorted(combo, reverse=True)) + (0,)
 
 

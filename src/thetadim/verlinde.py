@@ -6,10 +6,12 @@ product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
 The exact backend evaluates it modulo a product of primes and rebuilds the
 integer (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept
-as its oracle.  `dimension` is the exact value, memoized on the points as
-an unlabeled multiset.  The float backend mirrors the same sum in double
-precision, bounds its rounding error and rounds; it serves only as
-`verify`'s cross-check.
+as its oracle.  The exact backend and `dimension`'s memo count each point
+modulo full columns of its partition, so a uniform shift of its weights,
+or a point with one block, changes neither.  `dimension` is the exact
+value, memoized on those points as an unlabeled multiset.  The float
+backend mirrors the same sum in double precision, bounds its rounding
+error and rounds; it serves only as `verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant builds each factor from its weight in W'_k at
@@ -122,13 +124,21 @@ def _prefactor(q: VerlindeQuery) -> Fraction:
     return math.prod(b ** e for b, e in _prefactor_powers(q))
 
 
+def _column_free(omega: ParabolicData) -> tuple[MarkedPoint, ...]:
+    """The points as the closed sum reads them, modulo full columns of their
+    partitions (the column lemma of `thetadim.modular`): each shifted so its
+    top weight is the level, so lam_r = 0, and without the one-block points,
+    whose lam is then 0."""
+    k = omega.level
+    return tuple(p._replace(weights=tuple(a + k - p.weights[-1]
+                                          for a in p.weights))
+                 for p in omega.points if len(p.flag) > 1)
+
+
 def closed_formula_exact(q: VerlindeQuery) -> int:
-    """The closed sum by multi-modular evaluation, without the query's
-    one-block points, which change no term (the one-block lemma of
-    `thetadim.modular`)."""
-    points = tuple(p for p in q.omega.points if len(p.flag) > 1)
-    if len(points) < len(q.omega.points):
-        q = q._replace(omega=q.omega._replace(points=points))
+    """The closed sum by multi-modular evaluation, of the query's points
+    modulo full columns, which changes no term."""
+    q = q._replace(omega=q.omega._replace(points=_column_free(q.omega)))
     return closed_sum(q, _prefactor_powers(q))
 
 
@@ -232,12 +242,14 @@ def _dimension(key) -> int:
 
 def dimension(q: VerlindeQuery) -> int:
     """The exact dimension, memoized in a bounded LRU on the genus, degree,
-    rank, level and the sorted (flag, weights) pairs of the points.  The
-    closed sum reads the points only as a multiset of partitions (in
-    `residues`, `magnitude_bound` and `omega_total`, through products and
-    sums over them), so relabeled or reordered points share one entry."""
+    rank, level and the sorted (flag, weights) pairs of the points modulo
+    full columns (`_column_free`).  The closed sum reads the points only as
+    a multiset of partitions (in `residues`, `magnitude_bound` and
+    `omega_total`, through products and sums over them), and a point only
+    through lam - lam_r, so relabeled or reordered points, a uniform shift
+    of one point's weights and one-block points all share one entry."""
     return _dimension((q.genus, q.degree, q.rank, q.level, tuple(sorted(
-        (p.flag, p.weights) for p in q.omega.points))))
+        (p.flag, p.weights) for p in _column_free(q.omega)))))
 
 
 dimension.cache_info = _dimension.cache_info

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 import thetadim.cli as cli
 import thetadim.verlinde as verlinde
-from thetadim.cli import (DocumentError, document_to_query, main,
-                          query_to_document)
+from thetadim.cli import (MAX_ELEMENTS, DocumentError, document_to_query,
+                          main, query_to_document)
 from thetadim.modular import MAX_DIGITS, MAX_TABLE_BITS, magnitude_bound
 from thetadim.verlinde import EvaluationError, _prefactor, dimension, query
 from thetadim.weights import ParabolicData
@@ -471,8 +471,8 @@ SUITE_COUNTS = {"identities": 135, "genus": 108, "split": 19, "wprime": 19,
 
 # the `dimension` memo's hits and misses per suite of `verify all`, which
 # shares one memo across its suites in table order
-MEMO_COUNTS = {"identities": (0, 0), "genus": (130, 404), "split": (48, 39),
-               "wprime": (72, 15), "hecke": (199, 79), "backend": (108, 0)}
+MEMO_COUNTS = {"identities": (0, 0), "genus": (382, 152), "split": (66, 21),
+               "wprime": (74, 13), "hecke": (200, 78), "backend": (108, 0)}
 
 
 def _pop_seconds(payload, names):
@@ -654,6 +654,28 @@ def test_enumerate_vvec(capsys):
     out = capsys.readouterr().out.splitlines()
     assert rc == 0
     assert out == ["1 0", "2 0", "3 0", "count: 3"]
+
+
+@pytest.mark.parametrize("name", ["pk", "wk", "wkprime", "qk", "vvec"])
+def test_enumerate_refuses_an_oversized_set_before_the_work(capsys, name):
+    # each size is read from a binomial coefficient, C(59, 29) ~ 5.9e16
+    # v-vectors at r = k = 30, so nothing is enumerated before the refusal
+    start = time.perf_counter()
+    assert main(["enumerate", name, "-r", "30", "-k", "30", "--json"]) == 2
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {name}: more than {MAX_ELEMENTS} "
+                            f"elements at rank 30 and level 30\n")
+
+
+def test_enumerate_lists_a_set_of_exactly_the_limit(capsys):
+    # C(k, 1) = k weights of P_k at rank 1
+    argv = ["enumerate", "pk", "-r", "1", "-k"]
+    assert main([*argv, str(MAX_ELEMENTS)]) == 0
+    assert capsys.readouterr().out.endswith(f"count: {MAX_ELEMENTS}\n")
+    assert main([*argv, str(MAX_ELEMENTS + 1)]) == 2
+    assert "more than" in capsys.readouterr().err
 
 
 # -- table -----------------------------------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -52,6 +53,18 @@ def test_v_vectors_examples():
     assert list(v_vectors(2, 1)) == [(1, 0), (2, 0)]
     assert list(v_vectors(2, 2)) == [(1, 0), (2, 0), (3, 0)]
     assert list(v_vectors(1, 3)) == [(0,)]
+
+
+def test_v_vectors_at_rank_one_copy_no_pool():
+    # rank 1 has the one v-vector (0,) at every level; combinations() would
+    # first copy all k candidate entries
+    tracemalloc.start()
+    try:
+        assert list(v_vectors(1, 10 ** 6)) == [(0,)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
 
 
 def _rotate(v, n):
@@ -520,6 +533,31 @@ def test_rotation_multiplies_each_term_by_zeta_r_to_the_twist():
     assert integral > 100 and exceptional > 0
 
 
+def test_shifting_a_point_by_full_columns_changes_no_term():
+    # the column lemma of thetadim.modular in Q(zeta_N), through the
+    # oracle's own arithmetic: every shift c that keeps one point's weights
+    # in [0, k] leaves every term of the sum as it was, over r <= 3, k <= 4,
+    # g <= 2, degrees 0..r and 1-2 seeded points
+    rng = random.Random(23)
+    checks = 0
+    for r, k, g in itertools.product(range(1, 4), range(1, 5), range(3)):
+        for d in range(r + 1):
+            pts = tuple(_random_point(rng, r, k, f"p{i}")
+                        for i in range(rng.randint(1, 2)))
+            q = query(g, d, ParabolicData(r, k, pts))
+            terms = {v: closed_term(q, v) for v in v_vectors(r, k)}
+            for p in pts:
+                for c in range(-p.weights[0], k - p.weights[-1] + 1):
+                    if not c:
+                        continue
+                    moved = p._replace(weights=tuple(a + c for a in p.weights))
+                    shifted = query(g, d, q.omega.replace_point(p.label, moved))
+                    assert all(closed_term(shifted, v) == term
+                               for v, term in terms.items()), (q, p, c)
+                    checks += 1
+    assert checks == 319
+
+
 def test_closed_sum_vanishes_when_ell_is_not_integral():
     # every query whose twisting degree ell is not an integer has a closed
     # sum of 0; the rotation law of thetadim.modular implies it, but the
@@ -634,11 +672,18 @@ def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
     assert dimension(renamed) == value
     info = dimension.cache_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
-    # one changed weight is another entry
-    moved = query(1, 0, ParabolicData(3, 2, (p, x._replace(weights=(2,)))))
+    # every weight of a point shifted by one is the same entry (the column
+    # lemma of thetadim.modular)
+    shifted = query(1, 0, ParabolicData(3, 2, (p._replace(weights=(1, 2)),
+                                               x._replace(weights=(2,)))))
+    assert dimension(shifted) == value
+    info = dimension.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    # one changed jump is another entry
+    moved = query(1, 0, ParabolicData(3, 2, (p._replace(weights=(0, 2)), x)))
     dimension(moved)
     info = dimension.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (1, 2, 2)
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
 def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
@@ -701,6 +746,14 @@ def test_exact_backend_equals_oracle_and_ignores_labels(q, data):
     omega = ParabolicData(q.rank, q.level, [
         p._replace(label=label) for p, label in zip(points, labels)])
     assert dimension(query(q.genus, q.degree, omega)) == value
+    # every weight of each point shifted by a random c that keeps them in
+    # [0, k]; the oracle evaluates the unshifted query
+    shifted = []
+    for p in q.omega.points:
+        c = data.draw(st.integers(-p.weights[0], q.level - p.weights[-1]))
+        shifted.append(p._replace(weights=tuple(a + c for a in p.weights)))
+    assert dimension(query(q.genus, q.degree, ParabolicData(
+        q.rank, q.level, shifted))) == closed_formula_cyclotomic(q)
 
 
 def test_constructors_turn_lists_into_int_tuples():
