@@ -433,7 +433,7 @@ def cmd_enumerate(args) -> int:
     _at_least("--level", args.level, 1)
     # C(r + k - 1, r) weights in P_k, C(r + k - 1, r - 1) in W_k and
     # v-vectors; wkprime and qk are filtered from W_k and P_k
-    j = args.rank - (args.set not in ("pk", "qk"))
+    j = args.rank if args.set in ("pk", "qk") else args.rank - 1
     if _comb_past(args.rank + args.level - 1, j, MAX_ELEMENTS) > MAX_ELEMENTS:
         raise DocumentError([f"{args.set}: more than {MAX_ELEMENTS} elements "
                              f"at rank {args.rank} and level {args.level}"])
