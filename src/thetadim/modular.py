@@ -14,24 +14,48 @@ primes below 200, one modular power certifies each candidate by Proth's
 theorem (`_proth_prime`, which proves it).  The primes of an order are
 searched once and kept for the next query of that order (`prime_root`).
 
-Every term is a root power, the Schur values of the marked points and a
-sine product, each read from one table of powers of omega.  A Schur value
-is an alternant ratio, its determinant taken by elimination.  A query's
-primes are known before it starts, so the sum is evaluated once, modulo
-their product M: by the Chinese remainder theorem Z/M is the product of
-the fields F_p, and omega_M, the element that is each prime's omega mod
-that prime, is a root of unity of order N in every factor.  The terms are
-summed as one fraction mod M, inverted once, and the joint residue gives
-every prime's residue and the rebuilt integer at once.
+Every term is a root power, one alternant per marked point and a power of
+the Vandermonde, each read from one table of powers of omega: a Schur value
+is an alternant, its determinant taken by elimination, over the
+Vandermonde, and the sine product is the squared Vandermonde up to a sign
+and a root of unity (the sine lemma below).  A query's primes are known
+before it starts, so the sum is evaluated once, modulo their product M:
+by the Chinese remainder theorem Z/M is the product of the fields F_p,
+and omega_M, the element that is each prime's omega mod that prime, is a
+root of unity of order N in every factor.  The terms are summed as one
+fraction mod M, inverted once, and the joint residue gives every prime's
+residue and the rebuilt integer at once.
 
 No prime is bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1) is a
-unit away from the primes dividing n = r + k, so neither a Vandermonde nor
-a sine product vanishes mod p.  The code still checks before it inverts.
+unit away from the primes dividing n = r + k, so no Vandermonde vanishes
+mod p.  The code still checks before it inverts.
 Z/M is not a field: an elimination pivot can be nonzero mod M but 0 mod
 one of its primes, about one pivot in 2**61 for each prime, taking its
 residue mod p > 2**60 as spread over [0, p).  That factor then goes into the
 final denominator, which is checked to be prime to M, so such a sum
 raises EvaluationError and never returns a wrong value.
+
+The sine product is the squared Vandermonde, up to a sign and a root of
+unity.  With z_j = zeta_n**v_j and Delta = prod_(i<j) (z_i - z_j), each
+factor is (2 sin(pi (v_i - v_j) / n))**2 = 2 - z_i/z_j - z_j/z_i =
+-(z_i - z_j)**2 / (z_i z_j), and each z_i lies in r - 1 of the pairs, so
+
+    prod_(i<j) (2 - z_i/z_j - z_j/z_i)
+        = (-1)**(r (r - 1) / 2) Delta**2 zeta_n**(-(r - 1) |v|),
+
+and zeta_n**(-(r - 1) |v|) = zeta_N**(-r (r - 1) |v|).  The term of v
+divides by this product to the power g - 1 and by Delta once per marked
+point, so it is
+
+    (-1)**(r (r - 1) (g - 1) / 2) zeta_N**((twist + r (r - 1) (g - 1)) |v|)
+        prod alt / (Delta**e prod scale),    e = #points + 2 (g - 1),
+
+with alt / scale each point's alternant as `_det` returns it.  The sign
+is the same for every term.  Every step is a polynomial identity in a
+root of unity of order N, so it holds mod M as in Q(zeta_N), and
+`residues` builds one product per term, none when e = 0.  The cyclotomic
+oracle and the float cross-check keep the sine product, so `verify
+backend` compares the lemma's two sides.
 
 When the twisting number ell is an integer, the sum takes one v per
 rotation orbit of the level alcove, times the orbit's size.  The centre
@@ -299,48 +323,50 @@ def residues(q, prefactor: Fraction, M: int, powers) -> int:
     root of unity whose powers mod M are given, in one pass over the
     v-vectors.
 
-    Each term is a fraction num / den mod M, den collecting the alternants'
-    pivots, the Vandermonde per point and the sine product when it divides;
-    the terms are summed by cross-multiplying, so the pass needs one
-    inversion, taken after checking that the product of all denominators
-    is prime to M.  With twist = 0 (mod r) the loop runs over one v per
-    orbit, weighted by the orbit's size (see the module docstring);
-    otherwise over every v with weight 1."""
+    By the sine lemma (module docstring) the term of v is
+    zeta_N**((twist + r (r - 1) (g - 1)) |v|) prod alt / (Delta**e prod
+    scale) with e = #points + 2 (g - 1), times the sign
+    (-1)**(r (r - 1) (g - 1) / 2) that is taken once for the whole sum.
+    Each term is a fraction num / den mod M, den collecting the
+    alternants' pivots and Delta**e, or num collecting Delta**-e when
+    e < 0; Delta is built only when e != 0.  The terms are summed by
+    cross-multiplying, so the pass needs one inversion, taken after
+    checking that the product of all denominators is prime to M.  With
+    twist = 0 (mod r) the loop runs over one v per orbit, weighted by the
+    orbit's size (see the module docstring); otherwise over every v with
+    weight 1."""
     r, k, g = q.rank, q.level, q.genus
     n = r + k
     N = r * n
     twist = (q.degree * n - omega_total(q.omega)) % N
+    shift = (twist + r * (r - 1) * (g - 1)) % N
     lams = [lambda_of_point(pt, k) for pt in q.omega.points]
     exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
+    e = len(exps) + 2 * (g - 1)
     total, dens = 0, 1
     terms = v_orbits(r, k) if twist % r == 0 else \
         [(v, 1) for v in v_vectors(r, k)]
     for v, weight in terms:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
-        num, den = weight * powers[twist * sum(v) % N], 1
-        if exps:                    # a point-less query needs no Vandermonde
+        num, den = weight * powers[shift * sum(v) % N], 1
+        if e:
             vand = 1
             for i in range(r):
                 for j in range(i + 1, r):
                     vand = vand * (powers[x[i]] - powers[x[j]]) % M
-            den = pow(vand, len(exps), M)
-            for e in exps:
-                alt, scale = _det([[powers[ei * xj % N] for xj in x]
-                                   for ei in e], M)
-                num = num * alt % M
-                den = den * scale % M
-        if g != 1:
-            sines = 1                        # prod of (2 sin)^2 = 2 - a - 1/a
-            for i in range(r):
-                for j in range(i + 1, r):
-                    a = x[i] - x[j]
-                    sines = sines * (2 - powers[a] - powers[N - a]) % M
-            if g:
-                den = den * pow(sines, g - 1, M) % M
+            if e > 0:
+                den = pow(vand, e, M)
             else:
-                num = num * sines % M
+                num = num * pow(vand, -e, M) % M
+        for ex in exps:
+            alt, scale = _det([[powers[ei * xj % N] for xj in x]
+                               for ei in ex], M)
+            num = num * alt % M
+            den = den * scale % M
         total = (total * den + num * dens) % M
         dens = dens * den % M
+    if r * (r - 1) * (g - 1) // 2 % 2:
+        total = -total
     den = _nonzero(dens * prefactor.denominator, M)
     return total * prefactor.numerator * pow(den, -1, M) % M
 

@@ -115,15 +115,21 @@ def mu_star(mu: Weight, k: int) -> Weight:
 
 
 def _bounded_nonincreasing(r: int, top: int):
-    # nonincreasing tuples of length r with entries in [0, top], lexicographic
+    # nonincreasing tuples of length r with entries in [0, top], lexicographic:
+    # the next one raises the last entry below its bound (the entry before
+    # it, or top for the first) and zeroes the entries after it
     if top < 0:
         return
-    if r == 0:
-        yield ()
-        return
-    for first in range(top + 1):
-        for rest in _bounded_nonincreasing(r - 1, first):
-            yield (first,) + rest
+    mu = [0] * r
+    while True:
+        yield tuple(mu)
+        i = r - 1
+        while i >= 0 and mu[i] == (mu[i - 1] if i else top):
+            i -= 1
+        if i < 0:
+            return
+        mu[i] += 1
+        mu[i + 1:] = [0] * (r - 1 - i)
 
 
 def enumerate_Pk(r: int, k: int):

@@ -669,6 +669,17 @@ def test_enumerate_refuses_an_oversized_set_before_the_work(capsys, name):
                             f"elements at rank 30 and level 30\n")
 
 
+def test_enumerate_lists_a_set_of_a_rank_beyond_the_recursion_limit(capsys):
+    # the weights are generated without recursion, so a rank above
+    # sys.getrecursionlimit() lists its few elements
+    for argv, count in ((["pk", "-r", "2000"], 1),
+                        (["wk", "-r", "1500"], 1500),
+                        (["qk", "-r", "1200", "--n1", "0"], 1),
+                        (["wkprime", "-r", "1200"], 1)):
+        assert main(["enumerate", *argv, "-k", "1"]) == 0, argv
+        assert capsys.readouterr().out.endswith(f"count: {count}\n"), argv
+
+
 def test_enumerate_lists_a_set_of_exactly_the_limit(capsys):
     # C(k, 1) = k weights of P_k at rank 1
     argv = ["enumerate", "pk", "-r", "1", "-k"]

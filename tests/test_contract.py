@@ -45,6 +45,15 @@ def test_trace_targets_resolve():
         assert callable(obj), (mod_name, attr)
 
 
+def test_bench_smoke_run_passes():
+    # the benchmark's reduced run wraps every TARGET with tracing.install and
+    # checks each answer against the harness's own oracle; it writes only
+    # under bench/_out/
+    proc = _run(["bench/run.py", "--workload", "all", "--seed", "1",
+                 "--smoke"])
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+
+
 def test_worker_names_resolve():
     tree = ast.parse((ROOT / "bench" / "worker.py").read_text())
     # names bound to the package or to one of its modules

@@ -492,12 +492,24 @@ class _CountingPowers:
         return self.powers[m]
 
 
-@pytest.mark.parametrize("g, r, k, d, per_term", [
-    (1, 3, 3, 0, 1), (1, 3, 3, 1, 1), (2, 3, 3, 0, 7), (0, 2, 4, 0, 3)])
-def test_residues_reads_per_term(g, r, k, d, per_term):
-    # a point-less term reads the twist power and, off genus 1, two powers
-    # per sine factor; the Vandermonde is built only for a marked point
-    q = query(g, d, ParabolicData(r, k))
+_THREE_BLOCKS = (MarkedPoint("p", (1, 1, 1), (0, 1, 2)),)
+_TWO_POINTS = (MarkedPoint("p", (1, 1), (0, 2)),
+               MarkedPoint("q", (1, 1), (0, 2)))
+_READS = [(1, 3, 3, 0, (), 1), (1, 3, 3, 1, (), 1), (2, 3, 3, 0, (), 7),
+          (0, 2, 4, 0, (), 3), (2, 3, 3, 1, _THREE_BLOCKS, 16),
+          (0, 3, 3, 2, _THREE_BLOCKS, 16), (0, 2, 4, 0, _TWO_POINTS, 9),
+          (2, 2, 4, 0, _TWO_POINTS, 11), (1, 3, 3, 0, _THREE_BLOCKS, 16)]
+
+
+@pytest.mark.parametrize("g, r, k, d, points, per_term", _READS,
+                         ids=["-".join(map(str, row[:4] + row[5:]))
+                              for row in _READS])
+def test_residues_reads_per_term(g, r, k, d, points, per_term):
+    # a term reads the twist power once, two powers per Vandermonde factor
+    # when e = #points + 2 (g - 1) is nonzero, and r per alternant row of
+    # each point; no sine product is built
+    q = query(g, d, ParabolicData(r, k, points))
+    assert q.ell_integral
     M, powers = joint_root(r * (r + k), 2)
     counted = _CountingPowers(powers)
     value = residues(q, Fraction(1), M, counted)

@@ -12,8 +12,8 @@ import thetadim
 from thetadim import verlinde
 from thetadim.cli import (_random_point, _split_cases, document_to_query,
                           query_to_document)
-from thetadim.cyclotomic import IntPoly, root_power
-from thetadim.schur import v_orbits
+from thetadim.cyclotomic import CycNum, IntPoly, root_power
+from thetadim.schur import alternant_counts, v_orbits, weyl_denominator
 from thetadim.verlinde import (VerifyReport, VerlindeQuery, clear_memo,
                                closed_formula_cyclotomic, closed_formula_exact,
                                closed_formula_float, closed_term, dimension,
@@ -556,6 +556,23 @@ def test_shifting_a_point_by_full_columns_changes_no_term():
                                for v, term in terms.items()), (q, p, c)
                     checks += 1
     assert checks == 319
+
+
+def test_sine_product_is_the_squared_vandermonde():
+    # the sine lemma of thetadim.modular in Q(zeta_n), through the oracle's
+    # own arithmetic: prod (2 sin pi (v_i - v_j) / n)**2 is
+    # (-1)**(r (r - 1) / 2) Delta**2 zeta_n**(-(r - 1) |v|), over r <= 4,
+    # k <= 5 and every v
+    checks = 0
+    for r, k in itertools.product(range(1, 5), range(1, 6)):
+        n = r + k
+        sign = (-1) ** (r * (r - 1) // 2)
+        for v in v_vectors(r, k):
+            delta = CycNum(n, alternant_counts((0,) * r, v, n))
+            assert weyl_denominator(v, 2, r, k) == sign * delta * delta \
+                * root_power(n, -(r - 1) * sum(v)), (r, k, v)
+            checks += 1
+    assert checks == 205
 
 
 def test_closed_sum_vanishes_when_ell_is_not_integral():

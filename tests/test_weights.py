@@ -83,6 +83,9 @@ def test_omega_total():
 def test_enumerate_pk_examples():
     assert list(enumerate_Pk(2, 2)) == [(0, 0), (1, 0), (1, 1)]
     assert list(enumerate_Pk(1, 3)) == [(0,), (1,), (2,)]
+    assert list(enumerate_Pk(3, 3)) == [
+        (0, 0, 0), (1, 0, 0), (1, 1, 0), (1, 1, 1), (2, 0, 0), (2, 1, 0),
+        (2, 1, 1), (2, 2, 0), (2, 2, 1), (2, 2, 2)]
 
 
 def test_enumerate_wk_examples():
