@@ -30,11 +30,12 @@ print("a * b (num)   =", (a * b).embed(), "=", a.embed() * b.embed())
 inv = a.inverse()
 print("a * a^-1      =", a * inv)
 
-# the minimal polynomial of zeta_N is the N-th cyclotomic polynomial;
-# evaluating it on zeta_N gives exactly zero
+# the minimal polynomial of zeta_N is the N-th cyclotomic polynomial, a
+# tuple of integer coefficients, lowest degree first; its degree is below
+# N, so the CycNum with those coefficients is its value at zeta_N: zero
 phi12 = cyclotomic_polynomial(12)
 print("Phi_12        =", phi12)
-print("Phi_12(zeta)  =", phi12(zeta))
+print("Phi_12(zeta)  =", CycNum(12, phi12))
 
 # a classic: 2 - zeta_3 - zeta_3^2 = 3, the square of |1 - zeta_3|
 s = CycNum.from_rational(2, 3) - root_power(3, 1) - root_power(3, 2)

@@ -6,8 +6,10 @@ reduced modulo x**N - 1 only, so a product is a plain cyclic convolution.
 Reduction modulo the N-th cyclotomic polynomial Phi_N is deferred to the
 places that actually need a canonical form: equality tests, inversion, and
 extraction of rational values.  In canonical form every coefficient of index
->= deg(Phi_N) is zero.  One monic long division builds Phi_N, gives the
-canonical form as a remainder, and drives the extended Euclid inverse.
+>= deg(Phi_N) is zero.  One monic long division builds Phi_N (a tuple of
+ints, lowest degree first), gives the canonical form as a remainder, and
+drives the extended Euclid inverse, whose cofactors are CycNums.  Float
+coefficients are refused: Fraction(float) would make a value inexact.
 
 Values are immutable; share them freely across threads.
 """
@@ -17,7 +19,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from collections import namedtuple
 from fractions import Fraction
 
 _ZERO = Fraction(0)
@@ -34,29 +35,6 @@ class NotRationalError(ValueError):
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
         super().__init__(f"not a rational value; canonical coefficients {self.coeffs}")
-
-
-class IntPoly(namedtuple("IntPoly", "coeffs")):
-    """Dense integer polynomial, lowest degree first, no trailing zeros."""
-
-    __slots__ = ()
-
-    def __new__(cls, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
-        if coeffs and coeffs[-1] == 0:
-            raise ValueError("leading coefficient must be nonzero")
-        return super().__new__(cls, coeffs)
-
-    @property
-    def degree(self) -> int:
-        # degree of the zero polynomial is -1 by convention
-        return len(self.coeffs) - 1
-
-    def __call__(self, x):
-        acc = CycNum.zero(x.order) if isinstance(x, CycNum) else 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
 
 def _divmod_monic(a, b) -> tuple[list, list]:
@@ -76,17 +54,18 @@ def _divmod_monic(a, b) -> tuple[list, list]:
 
 
 @functools.lru_cache(maxsize=64)
-def cyclotomic_polynomial(N: int) -> IntPoly:
-    """N-th cyclotomic polynomial: divide x**N - 1 by Phi_d for proper d | N."""
+def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
+    """Coefficients of the N-th cyclotomic polynomial Phi_N, lowest degree
+    first: divide x**N - 1 by Phi_d for proper d | N."""
     if N < 1:
         raise ValueError("order must be >= 1")
     poly = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
-            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d).coeffs)
+            poly, rem = _divmod_monic(poly, cyclotomic_polynomial(d))
             if any(rem):
                 raise ArithmeticError("division was not exact")
-    return IntPoly(tuple(poly))
+    return tuple(poly)
 
 
 class CycNum:
@@ -101,7 +80,11 @@ class CycNum:
         for i, c in enumerate(coeffs):
             if i >= order:
                 raise ValueError("too many coefficients for the order")
-            cs[i] = c if isinstance(c, Fraction) else Fraction(c)
+            if not isinstance(c, Fraction):
+                if isinstance(c, float):
+                    raise TypeError("float coefficient; pass an int or Fraction")
+                c = Fraction(c)
+            cs[i] = c
         self.order = order
         self.coeffs = tuple(cs)
         self._canon = None
@@ -201,7 +184,7 @@ class CycNum:
             # divide integer numerators over one common denominator
             den = math.lcm(*(c.denominator for c in self.coeffs))
             nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            _, low = _divmod_monic(nums, cyclotomic_polynomial(self.order).coeffs)
+            _, low = _divmod_monic(nums, cyclotomic_polynomial(self.order))
             low += [0] * (self.order - len(low))
             self._canon = tuple(Fraction(c, den) if c else _ZERO for c in low)
         return self._canon
@@ -238,18 +221,19 @@ class CycNum:
         reach the constant 1."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # invariant: r_i == t_i * self modulo Phi_N
-        r0, t0 = [Fraction(c) for c in cyclotomic_polynomial(self.order).coeffs], []
-        r1, t1 = _poly_trim(list(self.canonical())), [_ONE]
+        # invariant: r_i == t_i * self mod Phi_N; deg(q t_1) < N, so no wrap
+        N = self.order
+        r0, t0 = [Fraction(c) for c in cyclotomic_polynomial(N)], CycNum.zero(N)
+        r1, t1 = _poly_trim(list(self.canonical())), CycNum.one(N)
         while True:
             lead = r1[-1]
             if lead != 1:
                 r1 = [c / lead for c in r1]
-                t1 = [c / lead for c in t1]
+                t1 = t1 * (1 / lead)
             if len(r1) == 1:
-                return CycNum(self.order, t1)
+                return t1
             q, rem = _divmod_monic(r0, r1)
-            r0, t0, r1, t1 = r1, t1, _poly_trim(rem), _poly_sub(t0, _poly_mul(q, t1))
+            r0, t0, r1, t1 = r1, t1, _poly_trim(rem), t0 - CycNum(N, q) * t1
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta**i -> zeta**(N-i)."""
@@ -295,32 +279,7 @@ def root_power(N: int, m: int) -> CycNum:
     return CycNum(N, out)
 
 
-# -- small helpers for polynomials over Fraction, lowest degree first -------
-
-
 def _poly_trim(p: list) -> list:
     while p and p[-1] == 0:
         p.pop()
     return p
-
-
-def _poly_sub(a: list, b: list) -> list:
-    n = max(len(a), len(b))
-    out = [_ZERO] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_mul(a: list, b: list) -> list:
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _poly_trim(out)

@@ -350,10 +350,10 @@ def residues(q, prefactor: Fraction, M: int, powers) -> int:
         x = [r * vj for vj in v]            # zeta_n**v_j = zeta_N**(r v_j)
         num, den = weight * powers[shift * sum(v) % N], 1
         if e:
-            vand = 1
+            z, vand = [powers[xj] for xj in x], 1
             for i in range(r):
                 for j in range(i + 1, r):
-                    vand = vand * (powers[x[i]] - powers[x[j]]) % M
+                    vand = vand * (z[i] - z[j]) % M
             if e > 0:
                 den = pow(vand, e, M)
             else:

@@ -181,7 +181,6 @@ def sin_sq(m: int, n: int) -> CycNum:
     return 2 - root_power(n, m) - root_power(n, -m)
 
 
-@functools.lru_cache(maxsize=256)
 def _sin_sq_product(v, n: int) -> CycNum:
     out = CycNum.one(n)
     for i in range(len(v)):

@@ -182,11 +182,11 @@ def _float_error_units(r: int, n: int, g: int, points: int) -> int:
     return 32 + points * schur + sines + terms + g + abs(g - 1) + 6
 
 
-def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
-    """The closed sum in double precision, rounded, and the distance it was
-    rounded by; refuses when its running error bound reaches 0.5, since the
-    rounded value could then be wrong, or when a float overflows or
-    underflows to a zero divisor."""
+def closed_formula_float(q: VerlindeQuery) -> tuple[int, float, float]:
+    """The closed sum in double precision, rounded, the distance it was
+    rounded by, and its running error bound; refuses when that bound
+    reaches 0.5, since the rounded value could then be wrong, or when a
+    float overflows or underflows to a zero divisor."""
     r, k, g, d = q.rank, q.level, q.genus, q.degree
     n = r + k
     N = r * n
@@ -227,7 +227,7 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float]:
     if error >= 0.5 or residual >= 0.5:
         raise EvaluationError(f"float backend precision exhausted (error bound "
                               f"{error:.3g}, residual {residual:.3g})")
-    return value, residual
+    return value, residual, error
 
 
 # -- memoized dimension ----------------------------------------------------
@@ -344,19 +344,15 @@ def legal_hecke_multiplicities(q: VerlindeQuery, label: str) -> list[int]:
 # -- verification ----------------------------------------------------------
 
 
-# backend mode's bound on the float residual, relative to max(1, |value|)
-BACKEND_TOL = 1e-6
-
-
 def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
            point: str | None = None,
            multiplicity: int | None = None) -> VerifyReport:
     """Evaluate one side-by-side check; ok means residual zero (exact modes,
-    where it is the integer |lhs - rhs|), or in backend mode the exact value
-    equal to the cyclotomic oracle and the float residual at most
-    BACKEND_TOL * max(1, |value|).  When the float backend refuses, the
-    report's rhs is the oracle, its residual the integer |lhs - oracle|, and
-    its detail says "float": "refused"."""
+    where it is the integer |lhs - rhs|), or in backend mode the exact value,
+    the cyclotomic oracle and the float value equal and the float residual
+    at most the float's own proven error bound.  When the float backend
+    refuses, the report's rhs is the oracle, its residual the integer
+    |lhs - oracle|, and its detail says "float": "refused"."""
     if mode not in ("genus", "split", "wprime", "hecke", "backend"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode in ("split", "wprime") and ctx is None:
@@ -367,7 +363,7 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
     if mode == "backend":
         oracle = closed_formula_cyclotomic(q)
         try:
-            rhs, float_residual = closed_formula_float(q)
+            rhs, float_residual, float_bound = closed_formula_float(q)
         except EvaluationError as exc:
             # a refused float value proves nothing either way; the exact
             # value must still equal the oracle
@@ -376,10 +372,11 @@ def verify(q: VerlindeQuery, mode: str, ctx: SplitContext | None = None,
                                 {"cyclotomic": oracle, "float": "refused",
                                  "float_refusal": str(exc)})
         residual = abs(lhs - rhs) + float_residual
-        ok = lhs == oracle and residual <= BACKEND_TOL * max(1, abs(lhs))
+        ok = lhs == oracle == rhs and residual <= float_bound
         return VerifyReport("backend", ok, lhs, rhs, residual, q,
                             {"cyclotomic": oracle,
-                             "float_residual": float_residual})
+                             "float_residual": float_residual,
+                             "float_bound": float_bound})
     if mode == "genus":
         rhs = genus_recurrence_rhs(q)
     elif mode == "hecke":

@@ -580,12 +580,25 @@ def test_verify_broken_backend_detected(capsys, monkeypatch):
     real = verlinde.closed_formula_float
 
     def off_by_one(q):
-        value, residual = real(q)
-        return value + 1, residual
+        value, residual, bound = real(q)
+        return value + 1, residual, bound
 
     monkeypatch.setattr(verlinde, "closed_formula_float", off_by_one)
     rc = main(["verify", "backend"] + SMALL)
     assert rc == 1
+
+
+def test_verify_backend_holds_the_float_to_its_bound(capsys, monkeypatch):
+    # 1e-7 more residual is within a fixed 1e-6 tolerance, but not within
+    # the error bound the float path proves on the default grid
+    real = verlinde.closed_formula_float
+
+    def looser(q):
+        value, residual, bound = real(q)
+        return value, residual + 1e-7, bound
+
+    monkeypatch.setattr(verlinde, "closed_formula_float", looser)
+    assert main(["verify", "backend"]) == 1
 
 
 GENUS_600 = ["--genus-min", "600", "--genus-max", "600", "--rank-max", "2",
