@@ -25,9 +25,9 @@ from . import __version__
 from .cyclotomic import NotRationalError
 from .modular import OversizedQuery
 from .schur import identity_52_check, identity_53_check, identity_54_check
-from .verlinde import (EvaluationError, VerlindeQuery, closed_formula_exact,
-                       hecke_image, legal_hecke_multiplicities, memo_info,
-                       v_vectors, verify)
+from .verlinde import (EvaluationError, VerlindeQuery, dimension, hecke_image,
+                       legal_hecke_multiplicities, memo_info, v_vectors,
+                       verify)
 from .weights import (MarkedPoint, ParabolicData, SplitContext,
                       enumerate_Pk, enumerate_Qk, enumerate_Wk,
                       enumerate_Wk_prime, split_context)
@@ -120,7 +120,10 @@ def document_to_query(doc) -> tuple[VerlindeQuery, SplitContext | None]:
 
 
 def query_to_document(q: VerlindeQuery, ctx: SplitContext | None = None) -> dict:
-    doc = q.document()
+    doc = {"genus": q.genus, "rank": q.rank, "degree": q.degree,
+           "level": q.level,
+           "points": [{"label": p.label, "flag": list(p.flag),
+                       "weights": list(p.weights)} for p in q.omega.points]}
     if ctx is not None:
         doc["split"] = {"g1": ctx.g1, "g2": ctx.g2, "I1": list(ctx.I1),
                         "c1": ctx.c1, "c2": ctx.c2}
@@ -158,6 +161,11 @@ def load_document(path: str) -> tuple[VerlindeQuery, SplitContext | None]:
 # -- result cache ----------------------------------------------------------
 
 
+def query_key(q: VerlindeQuery) -> str:
+    """`canonical_key` as JSON: what a record is filed under and stores."""
+    return json.dumps(q.canonical_key(), separators=(",", ":"))
+
+
 def _cache_path(cache_dir: str, key: str) -> str:
     import hashlib  # here and below: only the cache needs hashlib and tempfile
     digest = hashlib.sha256(key.encode()).hexdigest()
@@ -175,7 +183,7 @@ def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
     is stale, incomplete, malformed or does not match its digest.  Fields
     beyond the four written by `cache_put` are covered by the digest and
     otherwise ignored."""
-    key = q.canonical_key()
+    key = query_key(q)
     try:
         data = _read_json(_cache_path(cache_dir, key))
     except DocumentError:
@@ -196,7 +204,7 @@ def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
 
 
 def cache_put(cache_dir: str, q: VerlindeQuery, value: int):
-    key = q.canonical_key()
+    key = query_key(q)
     path = _cache_path(cache_dir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     record = {"value": value, "version": __version__, "query_key": key}
@@ -262,8 +270,8 @@ def cmd_dim(args) -> int:
         try:
             if use_cache:  # refuse a directory that cannot be made before the work
                 os.makedirs(os.path.dirname(
-                    _cache_path(cache_dir, q.canonical_key())), exist_ok=True)
-            value = closed_formula_exact(q)
+                    _cache_path(cache_dir, query_key(q))), exist_ok=True)
+            value = dimension(q)
             if use_cache:
                 cache_put(cache_dir, q, value)
         except OSError as exc:
@@ -491,7 +499,7 @@ def cmd_table(args) -> int:
     rows = []
     for g, r, k, d in product(genera, ranks, levels, degrees):
         q = VerlindeQuery(g, d, ParabolicData(r, k))
-        rows.append([g, r, k, d, 0, closed_formula_exact(q),
+        rows.append([g, r, k, d, 0, dimension(q),
                      "yes" if q.ell_integral else "no"])
     import csv  # only table writes CSV
     writer = csv.writer(sys.stdout, lineterminator="\n")

@@ -191,8 +191,9 @@ def _sin_sq_product(v, n: int) -> CycNum:
 
 def weyl_denominator(v, g: int, r: int, k: int) -> CycNum:
     """Product over pairs of (2 sin)**2 raised to g - 1; the genus-zero case
-    returns the inverse of the product."""
-    return _sin_sq_product(check_v(v, r, k), r + k) ** (g - 1)
+    returns the inverse of the product, and genus one builds no product."""
+    v = check_v(v, r, k)
+    return CycNum.one(r + k) if g == 1 else _sin_sq_product(v, r + k) ** (g - 1)
 
 
 # -- orthogonality residuals ----------------------------------------------

@@ -9,9 +9,11 @@ integer (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept
 as its oracle.  The exact backend and `dimension`'s memo count each point
 modulo full columns of its partition, so a uniform shift of its weights,
 or a point with one block, changes neither.  `dimension` is the exact
-value, memoized on those points as an unlabeled multiset.  The float
-backend mirrors the same sum in double precision, bounds its rounding
-error and rounds; it serves only as `verify`'s cross-check.
+value, memoized on those points as an unlabeled multiset: the query's one
+key, `VerlindeQuery.canonical_key`, which the CLI's disk cache also files
+records under.  The float backend mirrors the same sum in double
+precision, bounds its rounding error and rounds; it serves only as
+`verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant builds each factor from its weight in W'_k at
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from collections import namedtuple
 from fractions import Fraction
@@ -67,18 +68,15 @@ class VerlindeQuery(namedtuple("VerlindeQuery", "genus degree omega")):
         return (self.genus == 0 and self.degree == 0
                 and len(self.omega.points) == 3)
 
-    def document(self) -> dict:
-        """The query as a JSON document, its points in their order."""
-        return {"genus": self.genus, "rank": self.rank, "degree": self.degree,
-                "level": self.level,
-                "points": [{"label": p.label, "flag": list(p.flag),
-                            "weights": list(p.weights)}
-                           for p in self.omega.points]}
-
-    def canonical_key(self) -> str:
-        doc = self.document()
-        doc["points"].sort(key=lambda e: e["label"])
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    def canonical_key(self) -> tuple:
+        """The one key of the query: genus, degree, rank, level and the
+        sorted (flag, weights) pairs of the points modulo full columns
+        (`_column_free`).  The closed sum reads points only as a multiset of
+        partitions (in `residues`, `magnitude_bound` and `omega_total`) and
+        a point only through lam - lam_r, so relabeled, reordered or
+        column-shifted points and one-block points all share one key."""
+        return (self.genus, self.degree, self.rank, self.level, tuple(sorted(
+            (p.flag, p.weights) for p in _column_free(self.omega))))
 
 
 class VerifyReport(namedtuple("VerifyReport",
@@ -241,15 +239,8 @@ def _dimension(key) -> int:
 
 
 def dimension(q: VerlindeQuery) -> int:
-    """The exact dimension, memoized in a bounded LRU on the genus, degree,
-    rank, level and the sorted (flag, weights) pairs of the points modulo
-    full columns (`_column_free`).  The closed sum reads the points only as
-    a multiset of partitions (in `residues`, `magnitude_bound` and
-    `omega_total`, through products and sums over them), and a point only
-    through lam - lam_r, so relabeled or reordered points, a uniform shift
-    of one point's weights and one-block points all share one entry."""
-    return _dimension((q.genus, q.degree, q.rank, q.level, tuple(sorted(
-        (p.flag, p.weights) for p in _column_free(q.omega)))))
+    """The exact dimension, memoized in a bounded LRU on `canonical_key`."""
+    return _dimension(q.canonical_key())
 
 
 dimension.cache_info = _dimension.cache_info

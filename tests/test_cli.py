@@ -160,7 +160,7 @@ def test_dim_cache_dir_that_is_a_file_is_an_input_error(tmp_path, capsys,
     def evaluated(q):  # the directory must be refused before the work
         pytest.fail("the closed sum was evaluated")
 
-    monkeypatch.setattr(cli, "closed_formula_exact", evaluated)
+    monkeypatch.setattr(cli, "dimension", evaluated)
     assert main(["dim", doc, "--cache-dir", str(not_a_dir)]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()
@@ -223,7 +223,7 @@ def test_undecodable_document_is_an_input_error(tmp_path, capsys, content):
 def test_dim_internal_error_exit_code(tmp_path, capsys, monkeypatch):
     def boom(q):
         raise EvaluationError("forced failure")
-    monkeypatch.setattr(cli, "closed_formula_exact", boom)
+    monkeypatch.setattr(cli, "dimension", boom)
     rc = main(["dim", write_doc(tmp_path, BARE_DOC)])
     assert rc == 3
     assert "internal error" in capsys.readouterr().err
@@ -241,7 +241,7 @@ def test_dim_float_refuses_beyond_its_error_bound(tmp_path, capsys):
 def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
     def boom(q):
         raise RuntimeError("unforeseen")
-    monkeypatch.setattr(cli, "closed_formula_exact", boom)
+    monkeypatch.setattr(cli, "dimension", boom)
     rc = main(["dim", write_doc(tmp_path, BARE_DOC)])
     assert rc == 3
     err = capsys.readouterr().err
@@ -396,7 +396,7 @@ def test_record_with_the_old_flag_fields_is_a_hit(tmp_path, capsys):
     # records once carried ell_integral and exceptional_case as well; with a
     # matching digest they still read as hits and the flags come from the query
     q, _ = document_to_query(BARE_DOC)
-    key = q.canonical_key()
+    key = cli.query_key(q)
     record = {"value": 3, "ell_integral": True, "exceptional_case": False,
               "version": cli.__version__, "query_key": key}
     record["digest"] = hashlib.sha256(
@@ -410,6 +410,27 @@ def test_record_with_the_old_flag_fields_is_a_hit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "value": 3, "ell_integral": True, "exceptional_case": False,
         "cache": "hit"}
+
+
+def test_another_spelling_hits_the_record(tmp_path, capsys, monkeypatch):
+    # relabeled, reordered, each point shifted by one full column and padded
+    # with a one-block point: the same canonical key, so the same record
+    monkeypatch.delenv("THETADIM_CACHE", raising=False)
+    first = {"genus": 1, "rank": 3, "degree": 1, "level": 4, "points": [
+        {"label": "p", "flag": [2, 1], "weights": [0, 1]},
+        {"label": "q", "flag": [1, 2], "weights": [0, 2]}]}
+    other = dict(first, points=[
+        {"label": "b", "flag": [1, 2], "weights": [1, 3]},
+        {"label": "z", "flag": [3], "weights": [2]},
+        {"label": "a", "flag": [2, 1], "weights": [1, 2]}])
+    cache = tmp_path / "cache"
+    for doc, name, expected in ((first, "first.json", "miss"),
+                                (other, "other.json", "hit")):
+        assert main(["dim", write_doc(tmp_path, doc, name), "--cache-dir",
+                     str(cache), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["value"], payload["cache"]) == (24, expected)
+    assert len(list(cache.rglob("*.json"))) == 1
 
 
 THREE_POINTS = [{"label": l, "flag": [1, 1], "weights": [0, 2]}
@@ -934,7 +955,7 @@ def test_fuzz_load_document(tmp_path_factory, content):
 def test_fuzz_cache_record_is_a_miss(tmp_path_factory, content):
     q, _ = document_to_query(BARE_DOC)
     cache = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
-    path = cli._cache_path(cache, q.canonical_key())
+    path = cli._cache_path(cache, cli.query_key(q))
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(content)

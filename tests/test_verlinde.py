@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thetadim
-from thetadim import verlinde
-from thetadim.cli import (_random_point, _split_cases, document_to_query,
+from thetadim import schur, verlinde
+from thetadim.cli import (_grid_queries, _random_point, _split_cases,
+                          build_parser, document_to_query, query_key,
                           query_to_document)
 from thetadim.cyclotomic import CycNum, root_power
 from thetadim.schur import alternant_counts, v_orbits, weyl_denominator
@@ -623,6 +624,33 @@ def test_dimension_memoizes():
     assert dimension.cache_info().currsize == 0
 
 
+def test_genus_one_builds_no_sine_product(monkeypatch):
+    # at genus one the sine product is raised to the power 0; the exact
+    # backend, which builds none, checks the oracle's value
+    real, built = schur._sin_sq_product, []
+    monkeypatch.setattr(schur, "_sin_sq_product",
+                        lambda v, n: built.append(v) or real(v, n))
+    for g, count in ((1, 0), (2, 6)):
+        q = query(g, 1, ParabolicData(3, 2, (pt("p", (2, 1), (0, 1)),)))
+        verlinde._weyl_inverse_promoted.cache_clear()
+        built.clear()
+        assert closed_formula_cyclotomic(q) == dimension(q)
+        assert len(built) == count
+
+
+def test_fixed_determinant_value_is_an_integer():
+    # dimension * (r/k)**g is the dimension over the moduli space with fixed
+    # determinant (Donagi and Tu, Math. Res. Lett. 1, 1994): an integer
+    args = build_parser().parse_args(["verify", "all"])
+    grid = [*_grid_queries(args), *(q for q, _ in _split_cases(args))]
+    for q in grid:
+        r, k, g = q.rank, q.level, q.genus
+        assert dimension(q) * r ** g % k ** g == 0, q
+    # U_X values with their fixed-determinant values 1 and 2
+    assert dimension(bare(1, 2, 4, 1)) == 2
+    assert dimension(bare(1, 2, 1, 0)) == 1
+
+
 def test_canonical_key_ignores_point_order():
     a = ParabolicData(2, 2, (pt("p", (1, 1), (0, 1)), pt("q", (2,), (0,))))
     b = ParabolicData(2, 2, (pt("q", (2,), (0,)), pt("p", (1, 1), (0, 1))))
@@ -672,10 +700,10 @@ def test_equal_queries_share_a_dimension_memo_entry():
     assert dimension(b) == value
     info = dimension.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    # the cache key format is unchanged, so old cache records still hit
-    assert a.canonical_key() == (
-        '{"degree":0,"genus":1,"level":2,"points":[{"flag":[2,1],'
-        '"label":"p","weights":[0,1]}],"rank":3}')
+    # the one key, which the disk cache files its records under as JSON: the
+    # point's weights are shifted so the top one is the level
+    assert a.canonical_key() == (1, 0, 3, 2, (((2, 1), (1, 2)),))
+    assert query_key(a) == "[1,0,3,2,[[[2,1],[1,2]]]]"
 
 
 def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
