@@ -178,12 +178,11 @@ def _record_digest(record: dict) -> str:
         json.dumps(record, sort_keys=True).encode()).hexdigest()
 
 
-def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
-    """The cached value of the query, or None when there is no record or it
-    is stale, incomplete, malformed or does not match its digest.  Fields
-    beyond the four written by `cache_put` are covered by the digest and
-    otherwise ignored."""
-    key = query_key(q)
+def cache_get(cache_dir: str, key: str) -> int | None:
+    """The value cached under the `query_key` string, or None when there is
+    no record or it is stale, incomplete, malformed or does not match its
+    digest.  Fields beyond the four written by `cache_put` are covered by
+    the digest and otherwise ignored."""
     try:
         data = _read_json(_cache_path(cache_dir, key))
     except DocumentError:
@@ -203,8 +202,7 @@ def cache_get(cache_dir: str, q: VerlindeQuery) -> int | None:
     return value
 
 
-def cache_put(cache_dir: str, q: VerlindeQuery, value: int):
-    key = query_key(q)
+def cache_put(cache_dir: str, key: str, value: int):
     path = _cache_path(cache_dir, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     record = {"value": value, "version": __version__, "query_key": key}
@@ -262,18 +260,19 @@ def cmd_dim(args) -> int:
     q, _ = load_document(args.document)
     cache_dir = args.cache_dir or os.environ.get(ENV_CACHE)
     use_cache = bool(cache_dir) and not args.no_cache
-    value = cache_get(cache_dir, q) if use_cache else None
+    key = query_key(q) if use_cache else None
+    value = cache_get(cache_dir, key) if use_cache else None
     if value is not None:
         cache = "hit"
     else:
         cache = "miss" if use_cache else "computed"
         try:
             if use_cache:  # refuse a directory that cannot be made before the work
-                os.makedirs(os.path.dirname(
-                    _cache_path(cache_dir, query_key(q))), exist_ok=True)
+                os.makedirs(os.path.dirname(_cache_path(cache_dir, key)),
+                            exist_ok=True)
             value = dimension(q)
             if use_cache:
-                cache_put(cache_dir, q, value)
+                cache_put(cache_dir, key, value)
         except OSError as exc:
             source = "--cache-dir" if args.cache_dir else ENV_CACHE
             raise DocumentError([f"{source}: {exc}"]) from exc

@@ -87,9 +87,9 @@ orbit's terms sum to 0; the code does not use that.)  Other queries sum
 every v, each with weight 1.
 
 A point counts only modulo full columns of its partition, so
-`verlinde.closed_formula_exact` shifts each point's weights until the top
-one is the level.  Let every weight of a point rise by c, so that its
-partition lam = (level - a_i, each n_i times) becomes lam - c (1**r).
+`verlinde.VerlindeQuery.canonical_key` reads it as lam - lam_r.  Let
+every weight of a point rise by c, so that its partition lam = (level -
+a_i, each n_i times) becomes lam - c (1**r).
 Term by term:
 
 - the exponents lam_i + r - 1 - i of the alternant all fall by c, so the
@@ -113,7 +113,7 @@ lemma: shifted to the level its partition is 0, the trivial SU(r)
 representation, which cannot change the dimension by propagation of
 vacua (Beauville, *Conformal blocks, fusion rules and the Verlinde
 formula*, 1996).  Its Schur value is then 1 and dim V_0 = 1, so
-`closed_formula_exact` drops it.
+`canonical_key` drops it.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ import math
 from fractions import Fraction
 
 from .schur import v_orbits, v_vectors
-from .weights import lambda_of_point, omega_total
 
 # the primes below 200: a candidate sharing a factor with their product is
 # composite, since every candidate is far above 200
@@ -318,14 +317,14 @@ def _det(rows: list[list[int]], M: int) -> tuple[int, int]:
     return num * rows[0][0] % M, den
 
 
-def residues(q, prefactor: Fraction, M: int, powers) -> int:
-    """The closed sum of q times prefactor modulo M, with zeta_N read as the
-    root of unity whose powers mod M are given, in one pass over the
-    v-vectors.
+def residues(key, prefactor: Fraction, M: int, powers) -> int:
+    """The closed sum of a query key (`closed_sum`) times prefactor modulo
+    M, with zeta_N read as the root of unity whose powers mod M are given,
+    in one pass over the v-vectors; twist = d n - the sum of |lam|.
 
     By the sine lemma (module docstring) the term of v is
     zeta_N**((twist + r (r - 1) (g - 1)) |v|) prod alt / (Delta**e prod
-    scale) with e = #points + 2 (g - 1), times the sign
+    scale) with e = #partitions + 2 (g - 1), times the sign
     (-1)**(r (r - 1) (g - 1) / 2) that is taken once for the whole sum.
     Each term is a fraction num / den mod M, den collecting the
     alternants' pivots and Delta**e, or num collecting Delta**-e when
@@ -335,12 +334,11 @@ def residues(q, prefactor: Fraction, M: int, powers) -> int:
     twist = 0 (mod r) the loop runs over one v per orbit, weighted by the
     orbit's size (see the module docstring); otherwise over every v with
     weight 1."""
-    r, k, g = q.rank, q.level, q.genus
+    g, d, r, k, lams = key
     n = r + k
     N = r * n
-    twist = (q.degree * n - omega_total(q.omega)) % N
+    twist = (d * n - sum(map(sum, lams))) % N
     shift = (twist + r * (r - 1) * (g - 1)) % N
-    lams = [lambda_of_point(pt, k) for pt in q.omega.points]
     exps = [[lam[i] + r - 1 - i for i in range(r)] for lam in lams]
     e = len(exps) + 2 * (g - 1)
     total, dens = 0, 1
@@ -381,40 +379,69 @@ def weyl_dimension(lam) -> int:
     return num // den
 
 
-def _bound_powers(q) -> list[tuple]:
-    """(base, exponent) pairs whose product is magnitude_bound/|prefactor|."""
-    r, k, g = q.rank, q.level, q.genus
+def _ln_weyl_dimension(lam) -> float:
+    """ln dim V_lam in O(r * blocks) lgamma calls, where `weyl_dimension`
+    takes O(r**2) products of growing integers.  Two entries of one block
+    of lam give the factor 1.  A later block lam_j = c, s <= j < t, and a
+    row i < s give prod_j (x + j) / (j - i) = Gamma(x + t) Gamma(s - i) /
+    (Gamma(x + s) Gamma(t - i)), with x = lam_i - c - i."""
+    r = len(lam)
+    starts = [j for j in range(1, r) if lam[j] != lam[j - 1]]
+    total = 0.0
+    for s, t in zip(starts, starts[1:] + [r]):
+        for i in range(s):
+            x = lam[i] - lam[s] - i
+            total += (math.lgamma(x + t) - math.lgamma(x + s)
+                      + math.lgamma(s - i) - math.lgamma(t - i))
+    return total
+
+
+def _sine_power(g: int, r: int, k: int) -> tuple:
+    """The sine product's share of the bound as a (base, exponent) pair."""
     n, pairs = r + k, r * (r - 1) // 2
-    sines = (Fraction(n * n, 16), pairs * (g - 1)) if g >= 1 else (4, pairs)
-    return [(math.comb(n - 1, r - 1), 1), sines] + [
-        (weyl_dimension(lambda_of_point(pt, k)), 1) for pt in q.omega.points]
+    return (Fraction(n * n, 16), pairs * (g - 1)) if g >= 1 else (4, pairs)
 
 
-def magnitude_bound(q, prefactor: Fraction) -> Fraction:
+def magnitude_bound(key, prefactor: Fraction) -> Fraction:
     """A bound on |closed sum times prefactor|.  A Schur value at roots of
     unity is a sum of dim V_lam unit monomials, and 2 sin(pi m / n) >= 4 / n
     for 1 <= m < n, so each of the C(n-1, r-1) terms is bounded by the
     product of the dimensions times the extreme sine product."""
-    return abs(prefactor) * math.prod(b ** e for b, e in _bound_powers(q))
+    g, _, r, k, lams = key
+    base, e = _sine_power(g, r, k)
+    return (abs(prefactor) * base ** e * math.comb(r + k - 1, r - 1)
+            * math.prod(map(weyl_dimension, lams)))
 
 
-def closed_sum(q, prefactor_powers: list) -> int:
-    """The closed sum of q times its prefactor, the product of the (base,
-    exponent) pairs given, rebuilt from one residue modulo the product of
-    its value primes and the witness, and checked at the witness prime.  A
-    query whose bound B = magnitude_bound(q, prefactor) has more than
-    MAX_DIGITS digits is refused with OversizedQuery before any power is
-    built or prime sought: log10 B is summed from the logarithms of the
-    bases, so the check is cheap at any genus.  So is a query whose table
-    of N powers mod M could pass MAX_TABLE_BITS bits: the value primes but
-    the last multiply to at most 2B, and the last and the witness are each
-    below 2**(2E - 1), so M has at most log2 B + 4E - 1 bits."""
-    N = q.rank * (q.rank + q.level)
+def _log10_bound(key, prefactor_powers: list) -> float:
+    """log10 of magnitude_bound: the prefactor's and the sines' (base,
+    exponent) pairs by the logarithms of their bases, and C(n-1, r-1) and
+    each dim V_lam by lgamma, so that no big integer is built."""
+    g, _, r, k, lams = key
+    ln = (math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1)
+          + sum(map(_ln_weyl_dimension, lams)))
+    return ln / math.log(10) + sum(
+        e * (math.log10(abs(b.numerator)) - math.log10(b.denominator))
+        for b, e in prefactor_powers + [_sine_power(g, r, k)])
+
+
+def closed_sum(key, prefactor_powers: list) -> int:
+    """The closed sum of a `canonical_key` times its prefactor, the product
+    of the (base, exponent) pairs given, rebuilt from one residue modulo
+    the product of its value primes and the witness, and checked at the
+    witness prime.  A query whose bound B = magnitude_bound(key, prefactor)
+    has more than MAX_DIGITS digits is refused with OversizedQuery before
+    any power is built or prime sought: log10 B is summed from logarithms
+    (`_log10_bound`), so the check is cheap at any genus, rank and level.
+    So is a query whose table of N powers mod M could pass MAX_TABLE_BITS
+    bits: the value primes but the last multiply to at most 2B, and the
+    last and the witness are each below 2**(2E - 1), so M has at most
+    log2 B + 4E - 1 bits."""
+    r, k = key[2:4]
+    N = r * (r + k)
     try:
-        log10 = sum(e * (math.log10(abs(b.numerator))
-                         - math.log10(b.denominator))
-                    for b, e in prefactor_powers + _bound_powers(q))
-    except OverflowError:                   # an exponent beyond any float
+        log10 = _log10_bound(key, prefactor_powers)
+    except OverflowError:                   # a number beyond any float
         log10 = math.inf
     if log10 >= MAX_DIGITS:
         raise OversizedQuery(f"query too large: the bound on its value is "
@@ -425,13 +452,13 @@ def closed_sum(q, prefactor_powers: list) -> int:
                              f"a modulus of up to {bits:.0f} bits passes "
                              f"{MAX_TABLE_BITS} bits")
     prefactor = math.prod(b ** e for b, e in prefactor_powers)
-    bound = magnitude_bound(q, prefactor)
+    bound = magnitude_bound(key, prefactor)
     count, modulus = 0, 1
     while modulus <= 2 * bound:
         modulus *= prime_root(N, count)[0]
         count += 1
     M, powers = joint_root(N, count + 1)        # the witness comes last
-    joint = residues(q, prefactor, M, powers)
+    joint = residues(key, prefactor, M, powers)
     value = joint % modulus
     if value > modulus // 2:
         value -= modulus

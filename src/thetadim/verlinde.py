@@ -6,14 +6,14 @@ product, all inside Q(zeta_N) with N = r(r+k); the rational prefactor is
 applied at the end and the result must come out a nonnegative integer.
 The exact backend evaluates it modulo a product of primes and rebuilds the
 integer (`thetadim.modular`); the cyclotomic evaluation in Q(zeta_N) is kept
-as its oracle.  The exact backend and `dimension`'s memo count each point
-modulo full columns of its partition, so a uniform shift of its weights,
-or a point with one block, changes neither.  `dimension` is the exact
-value, memoized on those points as an unlabeled multiset: the query's one
-key, `VerlindeQuery.canonical_key`, which the CLI's disk cache also files
-records under.  The float backend mirrors the same sum in double
-precision, bounds its rounding error and rounds; it serves only as
-`verify`'s cross-check.
+as its oracle.  The exact backend reads a query only through its one key,
+`VerlindeQuery.canonical_key`: genus, degree, rank, level and the sorted
+partitions of its points modulo full columns, so a uniform shift of a
+point's weights, or a point with one block, changes nothing.  `dimension`
+is the exact value, memoized on that key, which the CLI's disk cache also
+files records under.  The oracle keeps the whole query, and so does the
+float backend, which mirrors the same sum in double precision, bounds its
+rounding error and rounds; it serves only as `verify`'s cross-check.
 
 Two-factor recurrences cut a query into a product of smaller ones; the
 congruence-filtered variant builds each factor from its weight in W'_k at
@@ -32,9 +32,9 @@ from .cyclotomic import CycNum, root_power
 from .modular import EvaluationError, closed_sum
 from .schur import (alternant_counts, check_v, s_omega, v_vectors,
                     weyl_denominator)
-from .weights import (MarkedPoint, ParabolicData, SplitContext,
-                      build_omega_mu, build_split_omegas, congruence_offset,
-                      ell, enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
+from .weights import (ParabolicData, SplitContext, build_omega_mu,
+                      build_split_omegas, congruence_offset, ell,
+                      enumerate_Pk, enumerate_Qk, enumerate_Wk_prime,
                       hecke_shift, lambda_of_point, normalize_point,
                       omega_total, split_context, split_degrees)
 
@@ -69,14 +69,15 @@ class VerlindeQuery(namedtuple("VerlindeQuery", "genus degree omega")):
                 and len(self.omega.points) == 3)
 
     def canonical_key(self) -> tuple:
-        """The one key of the query: genus, degree, rank, level and the
-        sorted (flag, weights) pairs of the points modulo full columns
-        (`_column_free`).  The closed sum reads points only as a multiset of
-        partitions (in `residues`, `magnitude_bound` and `omega_total`) and
-        a point only through lam - lam_r, so relabeled, reordered or
-        column-shifted points and one-block points all share one key."""
+        """The one key of the query and the exact backend's only input:
+        genus, degree, rank, level and the sorted partitions lam - lam_r,
+        (a_last - a_i) n_i times, of the points with more than one block.
+        The closed sum reads no more (the column lemma of
+        `thetadim.modular`), so labels, order and column shifts of points
+        and one-block points, whose lam - lam_r is 0, change no key."""
         return (self.genus, self.degree, self.rank, self.level, tuple(sorted(
-            (p.flag, p.weights) for p in _column_free(self.omega))))
+            lambda_of_point(p, p.weights[-1])
+            for p in self.omega.points if len(p.flag) > 1)))
 
 
 class VerifyReport(namedtuple("VerifyReport",
@@ -111,33 +112,22 @@ def closed_term(q: VerlindeQuery, v) -> CycNum:
     return root_power(N, e) * s * _weyl_inverse_promoted(v, q.genus, r, k)
 
 
-def _prefactor_powers(q: VerlindeQuery) -> list[tuple[int | Fraction, int]]:
-    """Sign, (k/r)**g and (r n**(r-1))**(g-1), n = r + k: the prefactor."""
-    r, k, g, d = q.rank, q.level, q.genus, q.degree
+def _prefactor_powers(g: int, d: int, r: int, k: int) -> list[tuple]:
+    """Sign, (k/r)**g, r**(g-1) and n**((r-1)(g-1)), n = r + k: the
+    prefactor, with n's power a pair of its own, so the size check of
+    `closed_sum` never builds it."""
     return [(-1 if d * (r - 1) % 2 else 1, 1), (Fraction(k, r), g),
-            (Fraction(r * (r + k) ** (r - 1)), g - 1)]
+            (Fraction(r), g - 1), (Fraction(r + k), (r - 1) * (g - 1))]
 
 
 def _prefactor(q: VerlindeQuery) -> Fraction:
-    return math.prod(b ** e for b, e in _prefactor_powers(q))
+    return math.prod(b ** e for b, e in _prefactor_powers(
+        q.genus, q.degree, q.rank, q.level))
 
 
-def _column_free(omega: ParabolicData) -> tuple[MarkedPoint, ...]:
-    """The points as the closed sum reads them, modulo full columns of their
-    partitions (the column lemma of `thetadim.modular`): each shifted so its
-    top weight is the level, so lam_r = 0, and without the one-block points,
-    whose lam is then 0."""
-    k = omega.level
-    return tuple(p._replace(weights=tuple(a + k - p.weights[-1]
-                                          for a in p.weights))
-                 for p in omega.points if len(p.flag) > 1)
-
-
-def closed_formula_exact(q: VerlindeQuery) -> int:
-    """The closed sum by multi-modular evaluation, of the query's points
-    modulo full columns, which changes no term."""
-    q = q._replace(omega=q.omega._replace(points=_column_free(q.omega)))
-    return closed_sum(q, _prefactor_powers(q))
+def closed_formula_exact(key) -> int:
+    """The closed sum of a `canonical_key` by multi-modular evaluation."""
+    return closed_sum(key, _prefactor_powers(*key[:4]))
 
 
 def closed_formula_cyclotomic(q: VerlindeQuery) -> int:
@@ -233,9 +223,7 @@ def closed_formula_float(q: VerlindeQuery) -> tuple[int, float, float]:
 
 @functools.lru_cache(maxsize=8192)
 def _dimension(key) -> int:
-    g, d, r, k, points = key
-    pts = [MarkedPoint(f"p{i}", f, w) for i, (f, w) in enumerate(points)]
-    return closed_formula_exact(VerlindeQuery(g, d, ParabolicData(r, k, pts)))
+    return closed_formula_exact(key)
 
 
 def dimension(q: VerlindeQuery) -> int:

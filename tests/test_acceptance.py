@@ -274,7 +274,7 @@ def test_criterion_10_structural_invariants():
     t0 = time.perf_counter()
     ok = True
     for q in GRID:
-        value = closed_formula_exact(q)
+        value = closed_formula_exact(q.canonical_key())
         ok = ok and isinstance(value, int) and value >= 0
         shifted = query(q.genus, q.degree + q.rank, q.omega)
         ok = ok and dimension(shifted) == dimension(q)

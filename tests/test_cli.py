@@ -250,11 +250,22 @@ def test_unexpected_exception_exits_internal(tmp_path, capsys, monkeypatch):
 
 # -- oversized queries ------------------------------------------------------
 
-@pytest.mark.parametrize("genus", [100000, 10 ** 400])
-def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, genus):
+def _one_point(flag):
+    return [{"label": "p", "flag": flag, "weights": [0, 1]}]
+
+
+@pytest.mark.parametrize("doc", [
+    {"genus": 100000, "rank": 2, "degree": 0, "level": 2},
+    {"genus": 10 ** 400, "rank": 2, "degree": 0, "level": 2},
+    {"genus": 2, "rank": 2000, "degree": 0, "level": 1,
+     "points": _one_point([1, 1999])},
+    {"genus": 2, "rank": 10 ** 6, "degree": 0, "level": 10 ** 6},
+], ids=["100000", str(10 ** 400), "rank-2000-one-point", "rank-level-1000000"])
+def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, doc):
     # at genus 100000 the bound has 90,309 digits: the query once ran for
-    # 15 s and then failed to print its value with exit 3
-    doc = {"genus": genus, "rank": 2, "degree": 0, "level": 2}
+    # 15 s and then failed to print its value with exit 3; the size check
+    # once built dim V_lam at rank 2000 for more than 60 s, and C(n-1, r-1)
+    # and n**(r-1) at rank = level = 10**6 for 36 s
     start = time.monotonic()
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert time.monotonic() - start < 1.0
@@ -269,13 +280,18 @@ def test_table_refuses_an_oversized_cell(capsys):
     assert "query too large" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("level,genus", [(1162261466, 1), (3000000, 40)])
+@pytest.mark.parametrize("doc", [
+    {"genus": 1, "rank": 1, "degree": 0, "level": 1162261466},
+    {"genus": 40, "rank": 1, "degree": 0, "level": 3000000},
+    {"genus": 1, "rank": 600, "degree": 0, "level": 1,
+     "points": _one_point([300, 300])},
+], ids=["1162261466-1", "3000000-40", "rank-600-one-point"])
 def test_oversized_power_table_is_refused_before_the_work(tmp_path, capsys,
-                                                          level, genus):
+                                                          doc):
     # a rank-1 query builds a table of N = level + 1 powers mod M: at level
     # 1,162,261,466 it ran out of memory (exit 3), and at level 3,000,000
-    # and genus 40 it took 16 s and 613 MB to print level**genus
-    doc = {"genus": genus, "rank": 1, "degree": 0, "level": level}
+    # and genus 40 it took 16 s and 613 MB to print level**genus; at rank
+    # 600 the size check once took 8.7 s to build dim V_lam = C(600, 300)
     start = time.monotonic()
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert time.monotonic() - start < 1.0
@@ -297,8 +313,10 @@ def test_query_just_inside_the_digit_limit_prints_its_value(tmp_path, capsys):
     # 4,301 at g = 4762; the value is 2**(g - 1) * (2**g + 1)
     g = 4761
     inside, outside = (query(h, 0, ParabolicData(2, 2)) for h in (g, g + 1))
-    assert magnitude_bound(inside, _prefactor(inside)) < 10 ** MAX_DIGITS
-    assert magnitude_bound(outside, _prefactor(outside)) >= 10 ** MAX_DIGITS
+    assert magnitude_bound(inside.canonical_key(),
+                           _prefactor(inside)) < 10 ** MAX_DIGITS
+    assert magnitude_bound(outside.canonical_key(),
+                           _prefactor(outside)) >= 10 ** MAX_DIGITS
     doc = {"genus": g, "rank": 2, "degree": 0, "level": 2}
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert rc == 0
@@ -386,10 +404,10 @@ def test_bad_cache_record_is_recomputed(tmp_path, capsys, edit):
 @pytest.mark.parametrize("value", [-1, "3", True, 3.0, None])
 def test_cache_record_value_must_be_nonnegative_int(tmp_path, value):
     # a record with a matching digest is still refused for a bad value
-    q, _ = document_to_query(BARE_DOC)
+    key = cli.query_key(document_to_query(BARE_DOC)[0])
     cache = str(tmp_path / "cache")
-    cli.cache_put(cache, q, value)
-    assert cli.cache_get(cache, q) is None
+    cli.cache_put(cache, key, value)
+    assert cli.cache_get(cache, key) is None
 
 
 def test_record_with_the_old_flag_fields_is_a_hit(tmp_path, capsys):
@@ -410,6 +428,23 @@ def test_record_with_the_old_flag_fields_is_a_hit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {
         "value": 3, "ell_integral": True, "exceptional_case": False,
         "cache": "hit"}
+
+
+def test_dim_builds_the_query_key_once_per_lookup(tmp_path, capsys,
+                                                  monkeypatch):
+    # the cache key is built once and passed on as a string; `dimension`
+    # builds its own, so a miss builds two, a hit one and --no-cache one
+    monkeypatch.delenv("THETADIM_CACHE", raising=False)
+    real, built = verlinde.VerlindeQuery.canonical_key, []
+    monkeypatch.setattr(verlinde.VerlindeQuery, "canonical_key",
+                        lambda q: built.append(q) or real(q))
+    doc, cache = write_doc(tmp_path, POINT_DOC), str(tmp_path / "cache")
+    for extra, expected, count in (([], "miss", 2), ([], "hit", 1),
+                                   (["--no-cache"], "computed", 1)):
+        built.clear()
+        assert main(["dim", doc, "--cache-dir", cache, "--json", *extra]) == 0
+        assert json.loads(capsys.readouterr().out)["cache"] == expected
+        assert len(built) == count
 
 
 def test_another_spelling_hits_the_record(tmp_path, capsys, monkeypatch):
@@ -953,10 +988,10 @@ def test_fuzz_load_document(tmp_path_factory, content):
 @given(st.binary(max_size=80)
        | json_values.map(lambda record: json.dumps(record).encode()))
 def test_fuzz_cache_record_is_a_miss(tmp_path_factory, content):
-    q, _ = document_to_query(BARE_DOC)
+    key = cli.query_key(document_to_query(BARE_DOC)[0])
     cache = str(tmp_path_factory.getbasetemp() / "fuzz-cache")
-    path = cli._cache_path(cache, cli.query_key(q))
+    path = cli._cache_path(cache, key)
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "wb") as fh:
         fh.write(content)
-    assert cli.cache_get(cache, q) is None
+    assert cli.cache_get(cache, key) is None

@@ -221,6 +221,19 @@ def test_no_unused_imports():
     assert unused == {}
 
 
+def test_modular_imports_nothing_of_the_package_but_schur():
+    # the exact backend reads query keys, tuples of integers and partitions,
+    # so it needs neither parabolic data nor queries
+    tree = ast.parse((SRC / "thetadim" / "modular.py").read_text())
+    package = [(node.level, node.module) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom)
+               and (node.level or node.module.startswith("thetadim"))]
+    package += [(0, a.name) for node in ast.walk(tree)
+                if isinstance(node, ast.Import) for a in node.names
+                if a.name.startswith("thetadim")]
+    assert package == [(1, "schur")]
+
+
 def test_cli_import_loads_only_what_every_command_needs():
     # dataclasses pulls in inspect, ast and dis; hashlib and tempfile serve
     # only the cache, csv only `table` and random only `verify`

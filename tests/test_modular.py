@@ -220,12 +220,12 @@ def test_a_query_searches_each_prime_once(monkeypatch):
 
     monkeypatch.setattr(modular, "_next_root", counted)
     g = 3000
-    q = query(g, 0, ParabolicData(2, 2))
-    assert closed_formula_exact(q) == 2 ** (g - 1) * (2 ** g + 1)
+    key = query(g, 0, ParabolicData(2, 2)).canonical_key()
+    assert closed_formula_exact(key) == 2 ** (g - 1) * (2 ** g + 1)
     assert searched == [8] * len(searched) and len(searched) > 128
     M, _ = joint_root(8, len(searched))
     assert M == math.prod(prime_root(8, i)[0] for i in range(len(searched)))
-    closed_formula_exact(q)
+    closed_formula_exact(key)
     assert len(searched) == 149
 
 
@@ -237,24 +237,40 @@ def test_weyl_dimension():
     assert weyl_dimension((3, 3, 0)) == 10
 
 
+def test_size_check_logarithms_match_the_integers():
+    # the size check takes C(n-1, r-1) and each dim V_lam by lgamma; the
+    # exact bound multiplies the integers
+    rng = random.Random(3)
+    for _ in range(300):
+        lam = sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 12))),
+                     reverse=True)
+        assert math.isclose(modular._ln_weyl_dimension(lam),
+                            math.log(weyl_dimension(lam)), abs_tol=1e-9)
+    for q in _grid(range(1, 6), range(1, 6), range(0, 4), 2, seed=17):
+        key = q.canonical_key()
+        assert math.isclose(modular._log10_bound(key, []),
+                            math.log10(magnitude_bound(key, Fraction(1))),
+                            abs_tol=1e-9), q
+
+
 # -- the rebuilt integer ----------------------------------------------------
 
 def test_bound_covers_every_value():
     for q in _grid(range(1, 5), range(1, 5), range(0, 4), 2, seed=11):
-        value = closed_formula_exact(q)
-        assert magnitude_bound(q, _prefactor(q)) >= value
+        value = closed_formula_exact(q.canonical_key())
+        assert magnitude_bound(q.canonical_key(), _prefactor(q)) >= value
 
 
 def test_agrees_with_cyclotomic_oracle():
     exceptional = 0
     for q in _grid(range(1, 4), range(1, 5), range(0, 4), 3, seed=5):
-        exact = closed_formula_exact(q)
+        exact = closed_formula_exact(q.canonical_key())
         oracle = closed_formula_cyclotomic(q)
         assert exact == oracle, q
         exceptional += q.exceptional_case
         # the joint residue of one pass gives every prime's residue
         N = q.rank * (q.rank + q.level)
-        joint = residues(q, _prefactor(q), *joint_root(N, 3))
+        joint = residues(q.canonical_key(), _prefactor(q), *joint_root(N, 3))
         for i in range(3):
             p = prime_root(N, i)[0]
             assert joint % p == oracle % p, (q, p)
@@ -270,7 +286,8 @@ def test_orbit_sum_matches_oracle_where_orbits_are_short(r, k):
                 if q.ell_integral]
     assert len(integral) >= 6
     for q in integral:
-        assert closed_formula_exact(q) == closed_formula_cyclotomic(q), q
+        assert closed_formula_exact(q.canonical_key()) == \
+            closed_formula_cyclotomic(q), q
 
 
 def test_value_needing_two_primes(monkeypatch):
@@ -278,12 +295,12 @@ def test_value_needing_two_primes(monkeypatch):
     calls = []
     real = modular.residues
 
-    def counted(q, prefactor, M, powers):
+    def counted(key, prefactor, M, powers):
         calls.append(M)
-        return real(q, prefactor, M, powers)
+        return real(key, prefactor, M, powers)
 
     monkeypatch.setattr(modular, "residues", counted)
-    assert closed_formula_exact(q) == 36436622194475008
+    assert closed_formula_exact(q.canonical_key()) == 36436622194475008
     # one pass, modulo two value primes and one witness, all distinct
     assert len(calls) == 1
     primes = [prime_root(3 * 11, i)[0] for i in range(3)]
@@ -293,14 +310,15 @@ def test_value_needing_two_primes(monkeypatch):
 def _perturb_witness(monkeypatch, q):
     N = q.rank * (q.rank + q.level)
     # the query needs one prime, so the second one is the witness
-    assert 2 * magnitude_bound(q, _prefactor(q)) < prime_root(N, 0)[0]
+    assert 2 * magnitude_bound(q.canonical_key(),
+                               _prefactor(q)) < prime_root(N, 0)[0]
     value_primes = prime_root(N, 0)[0]
     real = modular.residues
 
-    def perturbed(q, prefactor, M, powers):
+    def perturbed(key, prefactor, M, powers):
         # adding the value primes' product changes only the witness residue
         assert M == value_primes * prime_root(N, 1)[0]
-        return (real(q, prefactor, M, powers) + value_primes) % M
+        return (real(key, prefactor, M, powers) + value_primes) % M
 
     monkeypatch.setattr(modular, "residues", perturbed)
 
@@ -309,7 +327,7 @@ def test_witness_mismatch_raises(monkeypatch):
     q = query(2, 0, ParabolicData(2, 2))
     _perturb_witness(monkeypatch, q)
     with pytest.raises(EvaluationError, match="witness"):
-        closed_formula_exact(q)
+        closed_formula_exact(q.canonical_key())
 
 
 def test_witness_mismatch_exits_internal(tmp_path, capsys, monkeypatch):
@@ -326,8 +344,8 @@ def test_witness_mismatch_exits_internal(tmp_path, capsys, monkeypatch):
 def test_verify_backend_catches_exact_path_off_the_oracle(monkeypatch):
     real = verlinde.closed_formula_exact
 
-    def off_by_one(q):
-        return real(q) + 1
+    def off_by_one(key):
+        return real(key) + 1
 
     monkeypatch.setattr(verlinde, "closed_formula_exact", off_by_one)
     q = query(2, 0, ParabolicData(2, 2))
@@ -405,7 +423,7 @@ def test_vanishing_denominator_raises():
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
     M, powers = joint_root(8, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q, _prefactor(q), M, (1,) * len(powers))
+        residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
 
 
 def test_denominator_vanishing_mod_one_prime_raises():
@@ -418,10 +436,10 @@ def test_denominator_vanishing_mod_one_prime_raises():
     real = [pow(omega, m, p) for m in range(8)]
     mixed = [a + p * ((1 - a) * pow(p, -1, p2) % p2) for a in real]
     assert all(x % p == a and x % p2 == 1 for x, a in zip(mixed, real))
-    assert residues(q, _prefactor(q), p, real) == \
+    assert residues(q.canonical_key(), _prefactor(q), p, real) == \
         closed_formula_cyclotomic(q) % p
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q, _prefactor(q), M, mixed)
+        residues(q.canonical_key(), _prefactor(q), M, mixed)
 
 
 def test_vanishing_denominator_raises_on_the_orbit_sum():
@@ -432,7 +450,7 @@ def test_vanishing_denominator_raises_on_the_orbit_sum():
     assert len(v_orbits(2, 3)) < len(list(v_vectors(2, 3)))
     M, powers = joint_root(10, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q, _prefactor(q), M, (1,) * len(powers))
+        residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
 
 
 def test_verify_backend_survives_a_float_refusal():
@@ -511,6 +529,6 @@ def test_residues_reads_per_term(g, r, k, d, points, per_term):
     assert q.ell_integral
     M, powers = joint_root(r * (r + k), 2)
     counted = _CountingPowers(powers)
-    value = residues(q, Fraction(1), M, counted)
-    assert value == residues(q, Fraction(1), M, powers)
+    value = residues(q.canonical_key(), Fraction(1), M, counted)
+    assert value == residues(q.canonical_key(), Fraction(1), M, powers)
     assert counted.reads == per_term * len(v_orbits(r, k))

@@ -191,14 +191,14 @@ def test_query_validation():
 
 
 def test_exact_result_is_integer():
-    value = closed_formula_exact(bare(2, 3, 2, 1))
+    value = closed_formula_exact(bare(2, 3, 2, 1).canonical_key())
     assert isinstance(value, int)
     assert value >= 0
 
 
 def test_float_backend_agrees():
     for args in ((1, 2, 2, 0), (2, 2, 1, 1), (2, 2, 2, 0), (1, 3, 2, 2)):
-        exact = closed_formula_exact(bare(*args))
+        exact = closed_formula_exact(bare(*args).canonical_key())
         approx, residual, _ = closed_formula_float(bare(*args))
         assert exact == approx
         assert isinstance(residual, float)
@@ -506,7 +506,7 @@ def test_exceptional_case_still_evaluates():
                                  pt("s", (1, 1), (0, 1))))
     q = query(0, 0, three)
     assert q.exceptional_case
-    assert isinstance(closed_formula_exact(q), int)
+    assert isinstance(closed_formula_exact(q.canonical_key()), int)
 
 
 def test_rotation_multiplies_each_term_by_zeta_r_to_the_twist():
@@ -592,7 +592,7 @@ def test_closed_sum_vanishes_when_ell_is_not_integral():
                         q = query(g, d, ParabolicData(r, k, pts))
                         if q.ell_integral:
                             continue
-                        assert closed_formula_exact(q) == 0, q
+                        assert closed_formula_exact(q.canonical_key()) == 0, q
                         seen += 1
                         exceptional += q.exceptional_case
     assert seen > 400 and exceptional > 0
@@ -700,10 +700,10 @@ def test_equal_queries_share_a_dimension_memo_entry():
     assert dimension(b) == value
     info = dimension.cache_info()
     assert (info.hits, info.misses) == (1, 1)
-    # the one key, which the disk cache files its records under as JSON: the
-    # point's weights are shifted so the top one is the level
-    assert a.canonical_key() == (1, 0, 3, 2, (((2, 1), (1, 2)),))
-    assert query_key(a) == "[1,0,3,2,[[[2,1],[1,2]]]]"
+    # the one key, which the disk cache files its records under as JSON:
+    # the point's partition lam - lam_r, (a_last - a_i) n_i times
+    assert a.canonical_key() == (1, 0, 3, 2, ((1, 1, 0),))
+    assert query_key(a) == "[1,0,3,2,[[1,1,0]]]"
 
 
 def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
@@ -734,9 +734,9 @@ def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
     seen = []
     real = verlinde.closed_sum
 
-    def spy(q, prefactor_powers):
-        seen.append(q)
-        return real(q, prefactor_powers)
+    def spy(key, prefactor_powers):
+        seen.append(key)
+        return real(key, prefactor_powers)
 
     monkeypatch.setattr(verlinde, "closed_sum", spy)
     count = 0
@@ -747,12 +747,14 @@ def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
             pts = (pt("x", (r,), (a,)),) + (
                 (pt("p", (1, r - 1), (0, 1)),) if r > 1 else ())
             q = query(g, d, ParabolicData(r, k, pts))
-            assert closed_formula_exact(q) == closed_formula_cyclotomic(q), q
+            assert closed_formula_exact(q.canonical_key()) == \
+                closed_formula_cyclotomic(q), q
             count += 1
     assert len(seen) == count == 336
-    # each sum keeps the two-block point alone
-    assert all(len(q.omega.points) == (q.rank > 1) for q in seen)
-    assert all(len(p.flag) > 1 for q in seen for p in q.omega.points)
+    # each sum keeps the two-block point alone, as lam - lam_r = (1, 0, ...)
+    assert all(key[4] == (((1,) + (0,) * (key[2] - 1),) if key[2] > 1 else ())
+               for key in seen)
+    assert all(lam[-1] == 0 < lam[0] for key in seen for lam in key[4])
 
 
 @st.composite
@@ -780,7 +782,7 @@ def _queries(draw):
 @settings(max_examples=80, deadline=None)
 @given(q=_queries(), data=st.data())
 def test_exact_backend_equals_oracle_and_ignores_labels(q, data):
-    value = closed_formula_exact(q)
+    value = closed_formula_exact(q.canonical_key())
     assert value == closed_formula_cyclotomic(q)
     # a random relabeling and permutation of the points
     points = data.draw(st.permutations(q.omega.points))
