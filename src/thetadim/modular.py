@@ -1,38 +1,32 @@
-"""Exact closed sums by multi-modular evaluation.
+"""Exact closed sums by p-adic evaluation.
 
 For a prime p = 1 (mod N) the unit group of F_p holds an element omega of
-order exactly N, and zeta_N -> omega maps the cyclotomic integers of the
-closed sum into F_p.  The closed sum times its rational prefactor is an
-integer, so its residues modulo enough such primes determine it by Chinese
-remaindering once their product exceeds twice a proven bound on its
-absolute value (von zur Gathen and Gerhard, *Modern Computer Algebra*,
-ch. 5).  One more prime, the witness, checks the rebuilt integer.
+order exactly N; its Newton lift omega_M mod M = p**e is a root of Phi_N,
+so zeta_N -> omega_M maps the cyclotomic integers of the closed sum into
+Z/M (`lifted_root`).  The closed sum times its rational prefactor is an
+integer, so once p**e exceeds twice a proven bound on its absolute value,
+its residue mod p**e in the symmetric range is that integer.  The sum is
+evaluated mod p**(e+1), and the next p-adic digit, the witness, checks it.
 
-The primes are Proth numbers, p = 1 + t lcm(N, 2**E) below 2**(2E - 1)
-(`_proth_exponent`), found counting down: after trial division by the
-primes below 200, one modular power certifies each candidate by Proth's
-theorem (`_proth_prime`, which proves it).  The primes of an order are
+The prime is a Proth number, p = 1 + t lcm(N, 2**E) below 2**(2E - 1)
+(`_proth_exponent`), the first found counting down: after trial division
+by the primes below 200, one modular power certifies each candidate by
+Proth's theorem (`_proth_prime`, which proves it).  Each order's prime is
 searched once and kept for the next query of that order (`prime_root`).
 
 Every term is a root power, one alternant per marked point and a power of
-the Vandermonde, each read from one table of powers of omega: a Schur value
-is an alternant, its determinant taken by elimination, over the
+the Vandermonde, each read from one table of powers of omega_M: a Schur
+value is an alternant, its determinant taken by elimination, over the
 Vandermonde, and the sine product is the squared Vandermonde up to a sign
-and a root of unity (the sine lemma below).  A query's primes are known
-before it starts, so the sum is evaluated once, modulo their product M:
-by the Chinese remainder theorem Z/M is the product of the fields F_p,
-and omega_M, the element that is each prime's omega mod that prime, is a
-root of unity of order N in every factor.  The terms are summed as one
-fraction mod M, inverted once, and the joint residue gives every prime's
-residue and the rebuilt integer at once.
+and a root of unity (the sine lemma below).  The terms are summed as one
+fraction mod M and inverted once.
 
-No prime is bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1) is a
-unit away from the primes dividing n = r + k, so no Vandermonde vanishes
-mod p.  The code still checks before it inverts.
-Z/M is not a field: an elimination pivot can be nonzero mod M but 0 mod
-one of its primes, about one pivot in 2**61 for each prime, taking its
-residue mod p > 2**60 as spread over [0, p).  That factor then goes into the
-final denominator, which is checked to be prime to M, so such a sum
+The prime is never bad: p > N is prime to N, and 1 - zeta^a (zeta^a != 1)
+is a unit away from the primes dividing n = r + k, so no Vandermonde
+vanishes mod p.  The code still checks before it inverts.  Z/M is not a
+field: a pivot can be nonzero mod M but 0 mod p, about one pivot in 2**61,
+taking its residue mod p > 2**60 as spread over [0, p).  It then goes into
+the final denominator, which is checked to be prime to p, so such a sum
 raises EvaluationError and never returns a wrong value.
 
 The sine product is the squared Vandermonde, up to a sign and a root of
@@ -80,11 +74,11 @@ Then T multiplies the term of v by zeta_r**twist = exp(2 pi i ell):
   r ell (mod r), as r ell = k (d + r (1 - g)) - sum jump_sum.
 
 Every step is an identity of polynomials in a root of unity of order N, so
-it holds for omega in F_p, and so for omega_M mod M, as for zeta_N.  So
-twist = 0 (mod r) exactly when ell is an integer, and then every term is
-constant on its orbit.  (When ell is not an integer the same law makes each
-orbit's terms sum to 0; the code does not use that.)  Other queries sum
-every v, each with weight 1.
+it holds for omega_M mod M as for zeta_N.  So twist = 0 (mod r) exactly
+when ell is an integer, and then every term is constant on its orbit.
+(When ell is not an integer the same law makes each orbit's terms sum to
+0; the code does not use that.)  Other queries sum every v, each with
+weight 1.
 
 A point counts only modulo full columns of its partition, so
 `verlinde.VerlindeQuery.canonical_key` reads it as lam - lam_r.  Let
@@ -103,7 +97,7 @@ Term by term:
 Every step is a polynomial identity, so it holds mod M.  Nothing else
 moves: ell keeps its value, since the point's jumps are the same; the
 bound B keeps its value, since dim V_lam reads only the differences
-lam_i - lam_j, and with it the primes and the OversizedQuery refusals;
+lam_i - lam_j, and with it the modulus and the OversizedQuery refusals;
 and twist mod r keeps its value, since r c = 0 (mod r), so the query
 takes the same orbit-or-every-v branch.  So the sum sees a point only
 through lam - lam_r, and `verlinde.dimension` keys its memo on that.
@@ -135,6 +129,11 @@ MAX_DIGITS = 4300
 # the most bits a query's table of N powers mod M may hold, N times the bit
 # size of M: 2**26 bits is 8 MiB of digits
 MAX_TABLE_BITS = 1 << 26
+# the most steps a closed sum may take, C(n-1, r-1) r**2 (1 + P r) for P
+# partitions (`closed_sum`): on a 2-vCPU VM a step took about 50 ns in sums
+# over one v per orbit, which reach this in about a minute, and 5-520 ns
+# over all the sums measured
+MAX_WORK = 10 ** 9
 
 
 class EvaluationError(ArithmeticError):
@@ -142,8 +141,9 @@ class EvaluationError(ArithmeticError):
 
 
 class OversizedQuery(ValueError):
-    """The query's value could have more than MAX_DIGITS digits, or its
-    table of powers more than MAX_TABLE_BITS bits."""
+    """The query's value could have more than MAX_DIGITS digits, its
+    table of powers more than MAX_TABLE_BITS bits, or its sum more than
+    MAX_WORK steps."""
 
 
 def _v2(n: int) -> int:
@@ -204,10 +204,10 @@ def _proth_exponent(N: int) -> int:
     where N = 2**v_2(N) odd(N).  The primes of order N are
     p = 1 + t lcm(N, 2**E) < 2**(2E - 1), so p - 1 = h 2**e with e >= E and
     h < 2**(E - 1) <= 2**e: each is a Proth number.  Below the top there
-    are at least 2**(E-1) / odd(N) >= 2**19 candidates, many times the
-    primes a query within MAX_DIGITS needs (should they run out, the
-    search raises EvaluationError).  An order with odd part at most 2**11
-    and 2-part at most 2**31 has E = 31, so p < 2**61."""
+    are at least 2**(E-1) / odd(N) >= 2**19 candidates, and a query needs
+    only the first prime among them (should there be none, the search
+    raises EvaluationError).  An order with odd part at most 2**11 and
+    2-part at most 2**31 has E = 31, so p < 2**61."""
     return max(31, _v2(N), 20 + ((N >> _v2(N)) - 1).bit_length())
 
 
@@ -224,13 +224,14 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-def _next_root(N: int, top: int | None) -> tuple[int, int]:
-    """The greatest prime p = 1 + t lcm(N, 2**E) below top (below
-    2**(2E - 1) if top is None), E = _proth_exponent(N), with an element
-    omega of order exactly N mod p."""
+@functools.lru_cache(maxsize=64)
+def prime_root(N: int) -> tuple[int, int]:
+    """The greatest prime p = 1 + t lcm(N, 2**E) below 2**(2E - 1),
+    E = _proth_exponent(N), with an element omega of order exactly N mod p.
+    Each order is searched once while it stays among the 64 most recent."""
     E = _proth_exponent(N)
     step = N >> _v2(N) << E                             # lcm(N, 2**E)
-    p = ((top or 1 << (2 * E - 1)) - 2) // step * step + 1
+    p = ((1 << (2 * E - 1)) - 2) // step * step + 1
     while p > 1 and (math.gcd(p, _SMALL_PRIMES) != 1 or not _proth_prime(p)):
         p -= step
     if p == 1:
@@ -246,33 +247,29 @@ def _next_root(N: int, top: int | None) -> tuple[int, int]:
         a += 1
 
 
-@functools.lru_cache(maxsize=64)
-def _roots(N: int) -> list[tuple[int, int]]:
-    """The (p, omega) pairs of order N found so far, in prime_root's order;
-    no query asks for more than its bound allows (MAX_DIGITS)."""
-    return []
-
-
-def prime_root(N: int, i: int) -> tuple[int, int]:
-    """The i-th Proth prime p = 1 (mod N) of _next_root, counting down, with
-    an element omega of order exactly N mod p.  Each prime is searched once
-    while its order stays among the 64 most recent."""
-    found = _roots(N)
-    while len(found) <= i:
-        found.append(_next_root(N, found[-1][0] if found else None))
-    return found[i]
-
-
 @functools.lru_cache(maxsize=128)
-def joint_root(N: int, count: int) -> tuple[int, tuple[int, ...]]:
-    """The product M of the first count primes of prime_root(N, i), with
-    the powers omega_M**0, ..., omega_M**(N-1) mod M, where omega_M is the
-    Chinese remainder of the primes' elements of order N."""
-    M, omega = 1, 0
-    for i in range(count):
-        p, omega_p = prime_root(N, i)
-        omega += M * ((omega_p - omega) * pow(M, -1, p) % p)
-        M *= p
+def lifted_root(N: int, e: int) -> tuple[int, tuple[int, ...]]:
+    """M = p**e for the prime p of prime_root(N), with the powers
+    omega_M**0, ..., omega_M**(N-1) mod M, where omega_M is the root of
+    x**N - 1 mod M that is omega mod p.
+
+    Newton's iteration omega <- omega - f(omega) / f'(omega) on
+    f = x**N - 1, with q squaring from p up to M, keeps f(omega) = 0
+    (mod q) as long as f'(omega) = N omega**(N-1) is a unit: p = 1
+    (mod N) exceeds N, so p does not divide N, and omega is a unit
+    (Hensel's lemma; von zur Gathen and Gerhard, *Modern Computer
+    Algebra*, ch. 15).  The lift is a root of Phi_N mod M.  Mod p, no
+    Phi_d with d | N, d < N, vanishes at omega, else omega**d = 1 against
+    its order N; omega_M = omega (mod p), so each such Phi_d(omega_M) is a
+    unit mod M, and their product with Phi_N(omega_M) is omega_M**N - 1 =
+    0 (mod M).  So Phi_N(omega_M) = 0 (mod M), and zeta_N -> omega_M is a
+    ring map from Z[zeta_N] onto Z/M."""
+    p, omega = prime_root(N)
+    M, q = p ** e, p
+    while q < M:
+        q = min(q * q, M)
+        omega = (omega - (pow(omega, N, q) - 1)
+                 * pow(N * pow(omega, N - 1, q), -1, q)) % q
     powers = [1] * N
     for m in range(1, N):
         powers[m] = powers[m - 1] * omega % M
@@ -379,21 +376,23 @@ def weyl_dimension(lam) -> int:
     return num // den
 
 
-def _ln_weyl_dimension(lam) -> float:
-    """ln dim V_lam in O(r * blocks) lgamma calls, where `weyl_dimension`
-    takes O(r**2) products of growing integers.  Two entries of one block
-    of lam give the factor 1.  A later block lam_j = c, s <= j < t, and a
-    row i < s give prod_j (x + j) / (j - i) = Gamma(x + t) Gamma(s - i) /
-    (Gamma(x + s) Gamma(t - i)), with x = lam_i - c - i."""
+def _ln_weyl_blocks(lam):
+    """ln dim V_lam as one share per block of lam after the first, in
+    O(r * blocks) lgamma calls in all, where `weyl_dimension` takes O(r**2)
+    products of growing integers.  Two entries of one block of lam give
+    the factor 1.  A later block lam_j = c, s <= j < t, and a row i < s
+    give prod_j (x + j) / (j - i) = Gamma(x + t) Gamma(s - i) /
+    (Gamma(x + s) Gamma(t - i)), with x = lam_i - c - i; lam_i >= c, so
+    each factor is >= 1 and each share >= 0."""
     r = len(lam)
     starts = [j for j in range(1, r) if lam[j] != lam[j - 1]]
-    total = 0.0
     for s, t in zip(starts, starts[1:] + [r]):
+        share = 0.0
         for i in range(s):
             x = lam[i] - lam[s] - i
-            total += (math.lgamma(x + t) - math.lgamma(x + s)
+            share += (math.lgamma(x + t) - math.lgamma(x + s)
                       + math.lgamma(s - i) - math.lgamma(t - i))
-    return total
+        yield share
 
 
 def _sine_power(g: int, r: int, k: int) -> tuple:
@@ -413,30 +412,47 @@ def magnitude_bound(key, prefactor: Fraction) -> Fraction:
             * math.prod(map(weyl_dimension, lams)))
 
 
+def _ln_terms(r: int, k: int) -> float:
+    """ln C(n-1, r-1), the number of v-vectors, by lgamma."""
+    return math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1)
+
+
 def _log10_bound(key, prefactor_powers: list) -> float:
     """log10 of magnitude_bound: the prefactor's and the sines' (base,
     exponent) pairs by the logarithms of their bases, and C(n-1, r-1) and
-    each dim V_lam by lgamma, so that no big integer is built."""
+    each dim V_lam by lgamma, so that no big integer is built.  The dim
+    V_lam come last, one block's share at a time, and every share is >= 0,
+    so the sum stops after the share that takes it to MAX_DIGITS: past
+    that it returns a lower bound, which is enough to refuse the query."""
     g, _, r, k, lams = key
-    ln = (math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1)
-          + sum(map(_ln_weyl_dimension, lams)))
-    return ln / math.log(10) + sum(
-        e * (math.log10(abs(b.numerator)) - math.log10(b.denominator))
-        for b, e in prefactor_powers + [_sine_power(g, r, k)])
+    rest = sum(e * (math.log10(abs(b.numerator)) - math.log10(b.denominator))
+               for b, e in prefactor_powers + [_sine_power(g, r, k)])
+    ln = _ln_terms(r, k)
+    log10 = ln / math.log(10) + rest
+    for lam in lams:
+        for share in _ln_weyl_blocks(lam):
+            ln += share
+            log10 = ln / math.log(10) + rest
+            if log10 >= MAX_DIGITS:
+                return log10
+    return log10
 
 
 def closed_sum(key, prefactor_powers: list) -> int:
     """The closed sum of a `canonical_key` times its prefactor, the product
     of the (base, exponent) pairs given, rebuilt from one residue modulo
-    the product of its value primes and the witness, and checked at the
-    witness prime.  A query whose bound B = magnitude_bound(key, prefactor)
-    has more than MAX_DIGITS digits is refused with OversizedQuery before
-    any power is built or prime sought: log10 B is summed from logarithms
-    (`_log10_bound`), so the check is cheap at any genus, rank and level.
-    So is a query whose table of N powers mod M could pass MAX_TABLE_BITS
-    bits: the value primes but the last multiply to at most 2B, and the
-    last and the witness are each below 2**(2E - 1), so M has at most
-    log2 B + 4E - 1 bits."""
+    p**(e+1), p the prime of its order and e the least exponent with
+    p**e > 2B: the residue mod p**e is the value, and the next p-adic digit
+    is its witness.  A query whose bound B = magnitude_bound(key,
+    prefactor) has more than MAX_DIGITS digits is refused with
+    OversizedQuery before any power is built or prime sought: log10 B is
+    summed from logarithms (`_log10_bound`), so the check is cheap at any
+    genus, rank and level.  So is a query whose table of N powers mod
+    p**(e+1) could pass MAX_TABLE_BITS bits: p**(e-1) <= 2B and
+    p < 2**(2E - 1), so p**(e+1) has at most log2 B + 4E - 1 bits.  So is
+    a query whose sum could take more than MAX_WORK steps: C(n-1, r-1)
+    terms, each with r**2 for its Vandermonde and r**3 for each of its P
+    alternants, taken by lgamma as well."""
     r, k = key[2:4]
     N = r * (r + k)
     try:
@@ -451,22 +467,26 @@ def closed_sum(key, prefactor_powers: list) -> int:
         raise OversizedQuery(f"query too large: its table of {N} powers mod "
                              f"a modulus of up to {bits:.0f} bits passes "
                              f"{MAX_TABLE_BITS} bits")
+    work = (_ln_terms(r, k) + math.log(r * r * (1 + len(key[4]) * r))) \
+        / math.log(10)
+    if work > math.log10(MAX_WORK):
+        raise OversizedQuery(f"query too large: its sum takes about "
+                             f"10**{work:.1f} steps, more than {MAX_WORK}")
     prefactor = math.prod(b ** e for b, e in prefactor_powers)
     bound = magnitude_bound(key, prefactor)
-    count, modulus = 0, 1
+    p = prime_root(N)[0]
+    e, modulus = 1, p
     while modulus <= 2 * bound:
-        modulus *= prime_root(N, count)[0]
-        count += 1
-    M, powers = joint_root(N, count + 1)        # the witness comes last
-    joint = residues(key, prefactor, M, powers)
-    value = joint % modulus
+        e, modulus = e + 1, modulus * p
+    M, powers = lifted_root(N, e + 1)           # the witness digit comes last
+    residue = residues(key, prefactor, M, powers)
+    value = residue % modulus
     if value > modulus // 2:
         value -= modulus
-    p = M // modulus
-    if abs(value) > bound or value % p != joint % p:
+    if abs(value) > bound or residue != value % M:
         raise EvaluationError(f"the closed sum is not an integer within its "
                               f"bound: the rebuilt value {value} fails the "
-                              f"bound or the witness prime {p}")
+                              f"bound or the witness digit mod {p}**{e + 1}")
     if value < 0:
         raise EvaluationError(f"dimension came out negative: {value}")
     return value

@@ -10,7 +10,8 @@ import thetadim.cli as cli
 import thetadim.verlinde as verlinde
 from thetadim.cli import (MAX_ELEMENTS, DocumentError, document_to_query,
                           main, query_to_document)
-from thetadim.modular import MAX_DIGITS, MAX_TABLE_BITS, magnitude_bound
+from thetadim.modular import (MAX_DIGITS, MAX_TABLE_BITS, MAX_WORK,
+                              magnitude_bound)
 from thetadim.verlinde import EvaluationError, _prefactor, dimension, query
 from thetadim.weights import ParabolicData
 
@@ -260,12 +261,17 @@ def _one_point(flag):
     {"genus": 2, "rank": 2000, "degree": 0, "level": 1,
      "points": _one_point([1, 1999])},
     {"genus": 2, "rank": 10 ** 6, "degree": 0, "level": 10 ** 6},
-], ids=["100000", str(10 ** 400), "rank-2000-one-point", "rank-level-1000000"])
+    {"genus": 2, "rank": 2000, "degree": 0, "level": 2000,
+     "points": [{"label": "p", "flag": [1] * 2000,
+                 "weights": list(range(2000))}]},
+], ids=["100000", str(10 ** 400), "rank-2000-one-point", "rank-level-1000000",
+        "rank-2000-many-blocks"])
 def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, doc):
     # at genus 100000 the bound has 90,309 digits: the query once ran for
     # 15 s and then failed to print its value with exit 3; the size check
-    # once built dim V_lam at rank 2000 for more than 60 s, and C(n-1, r-1)
-    # and n**(r-1) at rank = level = 10**6 for 36 s
+    # once built dim V_lam at rank 2000 for more than 60 s, C(n-1, r-1)
+    # and n**(r-1) at rank = level = 10**6 for 36 s, and the logarithm of
+    # dim V_lam of 2,000 one-row blocks in 2 10**6 lgamma calls for 1.4 s
     start = time.monotonic()
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert time.monotonic() - start < 1.0
@@ -299,6 +305,21 @@ def test_oversized_power_table_is_refused_before_the_work(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: query too large")
     assert str(MAX_TABLE_BITS) in err
+
+
+@pytest.mark.parametrize("doc", [
+    {"genus": 1, "rank": 50, "degree": 0, "level": 50},
+], ids=["rank-level-50"])
+def test_oversized_sum_is_refused_before_the_work(tmp_path, capsys, doc):
+    # at rank = level = 50 the bound has 29 digits and the power table
+    # 1.1 10**6 bits, but the sum runs over C(99, 49) = 5 10**28 v-vectors:
+    # the query once ran past a 15 s timeout
+    start = time.monotonic()
+    rc = main(["dim", write_doc(tmp_path, doc), "--json"])
+    assert time.monotonic() - start < 1.0
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: query too large") and str(MAX_WORK) in err
 
 
 def test_power_table_inside_its_limit_prints_its_value(tmp_path, capsys):

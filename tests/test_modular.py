@@ -10,9 +10,10 @@ import thetadim.modular as modular
 import thetadim.verlinde as verlinde
 from thetadim.cli import main
 from thetadim.modular import (EvaluationError, _det, _nonzero, _proth_exponent,
-                              _proth_prime, joint_root, magnitude_bound,
+                              _proth_prime, lifted_root, magnitude_bound,
                               prime_root, residues, weyl_dimension)
 from thetadim.schur import _perm_sign, v_orbits, v_vectors
+from thetadim.cyclotomic import cyclotomic_polynomial
 from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
                                closed_formula_exact, query, verify)
 from thetadim.weights import MarkedPoint, ParabolicData
@@ -108,13 +109,10 @@ def test_miller_rabin_refuses_beyond_its_exact_range():
 
 @pytest.mark.parametrize("N", [2, 6, 12, 30, 36, 50, 90])
 def test_root_has_order_exactly_N(N):
-    previous = 2 ** 61
-    for i in range(3):
-        p, omega = prime_root(N, i)
-        assert p < previous and p % N == 1 and is_prime(p)
-        previous = p
-        assert 0 < omega < p
-        assert [m for m in range(1, N + 1) if pow(omega, m, p) == 1] == [N]
+    p, omega = prime_root(N)
+    assert p < 2 ** 61 and p % N == 1 and is_prime(p)
+    assert 0 < omega < p
+    assert [m for m in range(1, N + 1) if pow(omega, m, p) == 1] == [N]
 
 
 # the orders r(r + k) of the benchmark's cold queries and recurrence grid
@@ -125,28 +123,54 @@ _ORDERS = sorted({r * (r + k) for r, levels in
 
 
 @pytest.mark.parametrize("N", [2, 8, 12, 30])
-def test_joint_root_is_the_crt_of_the_prime_roots(N):
-    for count in range(1, 4):
-        M, powers = joint_root(N, count)
-        primes = [prime_root(N, i) for i in range(count)]
-        assert M == math.prod(p for p, _ in primes)
+def test_lifted_root_reduces_to_the_prime_root(N):
+    p, omega = prime_root(N)
+    for e in range(1, 4):
+        M, powers = lifted_root(N, e)
+        assert M == p ** e
         assert len(powers) == N
-        for p, omega in primes:
-            assert [x % p for x in powers] == [pow(omega, m, p)
-                                               for m in range(N)]
+        assert [x % p for x in powers] == [pow(omega, m, p)
+                                           for m in range(N)]
+
+
+@pytest.mark.parametrize("N", [2, 6, 8, 12, 30, 36, 50, 90])
+def test_lifted_root_is_a_root_of_the_cyclotomic_polynomial(N):
+    phi = cyclotomic_polynomial(N)
+    for e in (1, 2, 3, 7):
+        M, powers = lifted_root(N, e)
+        omega = powers[1]
+        assert sum(c * pow(omega, i, M) for i, c in enumerate(phi)) % M == 0
+        assert powers == tuple(pow(omega, m, M) for m in range(N))
+        assert [m for m in range(1, N + 1) if pow(omega, m, M) == 1] == [N]
+
+
+def _search(N, count):
+    """The first count primes 1 + t lcm(N, 2**31) below 2**61, counting
+    down, as the search's filter finds them."""
+    step = N * 2 ** 31 // math.gcd(N, 2 ** 31)
+    p = (2 ** 61 - 2) // step * step + 1
+    primes = []
+    while len(primes) < count:
+        if math.gcd(p, modular._SMALL_PRIMES) == 1 and _proth_prime(p):
+            primes.append(p)
+        p -= step
+    return primes
 
 
 def test_prime_search_matches_a_plain_scan():
-    # the primes 1 + t lcm(N, 2**31) below 2**61, counting down
+    # the primes 1 + t lcm(N, 2**31) below 2**61, counting down: the first
+    # is the search's, and the filter it applies finds the next two
     for N in _ORDERS:
         assert _proth_exponent(N) == 31
         step = N * 2 ** 31 // math.gcd(N, 2 ** 31)
         p = 2 ** 61
+        primes = _search(N, 3)
+        assert primes[0] == prime_root(N)[0], N
         for i in range(3):
             p = (p - 2) // step * step + 1
             while not is_prime(p):
                 p -= step
-            assert prime_root(N, i)[0] == p, (N, i)
+            assert primes[i] == p, (N, i)
 
 
 def _proth_numbers(limit):
@@ -173,17 +197,19 @@ def test_proth_certificate_matches_trial_division():
 
 
 def test_proth_certificate_matches_the_oracle_on_the_search():
-    # every candidate of three primes per order, sieved out or not
+    # every candidate of the first three primes per order, sieved out or
+    # not; the first prime is the search's
     checked = 0
     for N in range(1, 501):
         step = N * 2 ** 31 // math.gcd(N, 2 ** 31)
         p = (2 ** 61 - 2) // step * step + 1
         for i in range(3):
-            while p > prime_root(N, i)[0]:
-                assert not _proth_prime(p) and not is_prime(p), (N, p)
+            while not is_prime(p):
+                assert not _proth_prime(p), (N, p)
                 p -= step
                 checked += 1
-            assert _proth_prime(p) and is_prime(p), (N, p)
+            assert _proth_prime(p), (N, p)
+            assert i or p == prime_root(N)[0], N
             p -= step
     assert checked > 10 * 3 * 500
 
@@ -207,26 +233,30 @@ def test_proth_certificate_is_false_on_a_square(root):
 
 
 def test_a_query_searches_each_prime_once(monkeypatch):
-    # 148 value primes and the witness: more than 128, so an LRU of 128
-    # primes would search every one of them again for the joint modulus
-    modular._roots.cache_clear()
-    modular.joint_root.cache_clear()
-    searched = []
-    real = modular._next_root
+    # 148 digits of the value and the witness digit, all of one prime:
+    # the search factors the order once per prime it finds
+    modular.prime_root.cache_clear()
+    modular.lifted_root.cache_clear()
+    searched, moduli = [], []
+    real_factors, real_residues = modular._prime_factors, modular.residues
 
-    def counted(N, top):
-        searched.append(N)
-        return real(N, top)
+    def counted(n):
+        searched.append(n)
+        return real_factors(n)
 
-    monkeypatch.setattr(modular, "_next_root", counted)
+    def spied(key, prefactor, M, powers):
+        moduli.append(M)
+        return real_residues(key, prefactor, M, powers)
+
+    monkeypatch.setattr(modular, "_prime_factors", counted)
+    monkeypatch.setattr(modular, "residues", spied)
     g = 3000
     key = query(g, 0, ParabolicData(2, 2)).canonical_key()
     assert closed_formula_exact(key) == 2 ** (g - 1) * (2 ** g + 1)
-    assert searched == [8] * len(searched) and len(searched) > 128
-    M, _ = joint_root(8, len(searched))
-    assert M == math.prod(prime_root(8, i)[0] for i in range(len(searched)))
+    assert searched == [8]
+    assert moduli == [prime_root(8)[0] ** 149] == [lifted_root(8, 149)[0]]
     closed_formula_exact(key)
-    assert len(searched) == 149
+    assert searched == [8] and moduli == moduli[:1] * 2
 
 
 def test_weyl_dimension():
@@ -244,7 +274,7 @@ def test_size_check_logarithms_match_the_integers():
     for _ in range(300):
         lam = sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 12))),
                      reverse=True)
-        assert math.isclose(modular._ln_weyl_dimension(lam),
+        assert math.isclose(sum(modular._ln_weyl_blocks(lam)),
                             math.log(weyl_dimension(lam)), abs_tol=1e-9)
     for q in _grid(range(1, 6), range(1, 6), range(0, 4), 2, seed=17):
         key = q.canonical_key()
@@ -268,12 +298,11 @@ def test_agrees_with_cyclotomic_oracle():
         oracle = closed_formula_cyclotomic(q)
         assert exact == oracle, q
         exceptional += q.exceptional_case
-        # the joint residue of one pass gives every prime's residue
+        # one pass gives the residue mod p**3, three p-adic digits
         N = q.rank * (q.rank + q.level)
-        joint = residues(q.canonical_key(), _prefactor(q), *joint_root(N, 3))
-        for i in range(3):
-            p = prime_root(N, i)[0]
-            assert joint % p == oracle % p, (q, p)
+        M, powers = lifted_root(N, 3)
+        residue = residues(q.canonical_key(), _prefactor(q), M, powers)
+        assert residue == oracle % M, q
     assert exceptional > 0
 
 
@@ -301,24 +330,34 @@ def test_value_needing_two_primes(monkeypatch):
 
     monkeypatch.setattr(modular, "residues", counted)
     assert closed_formula_exact(q.canonical_key()) == 36436622194475008
-    # one pass, modulo two value primes and one witness, all distinct
-    assert len(calls) == 1
-    primes = [prime_root(3 * 11, i)[0] for i in range(3)]
-    assert len(set(primes)) == 3 and calls[0] == math.prod(primes)
+    # one pass, modulo p**3: two p-adic digits of the value and the witness
+    p = prime_root(3 * 11)[0]
+    assert 36436622194475008 < p < 2 * magnitude_bound(q.canonical_key(),
+                                                       _prefactor(q))
+    assert calls == [p ** 3]
+
+
+def test_largest_sum_in_use_passes_the_work_guard(monkeypatch):
+    # genus 1, rank 10, level 14, degree 1 sums all 817,190 v-vectors to
+    # print 0, 8.2 10**7 steps in 1.5 s; the queries of the tests, demos
+    # and benchmark workloads take at most 10**4.6; the guard lets it
+    # through (the stub stands in for the sum)
+    monkeypatch.setattr(modular, "residues", lambda *args: 0)
+    key = query(1, 1, ParabolicData(10, 14)).canonical_key()
+    assert closed_formula_exact(key) == 0
 
 
 def _perturb_witness(monkeypatch, q):
     N = q.rank * (q.rank + q.level)
-    # the query needs one prime, so the second one is the witness
-    assert 2 * magnitude_bound(q.canonical_key(),
-                               _prefactor(q)) < prime_root(N, 0)[0]
-    value_primes = prime_root(N, 0)[0]
+    # the query needs one p-adic digit, so the second one is the witness
+    p = prime_root(N)[0]
+    assert 2 * magnitude_bound(q.canonical_key(), _prefactor(q)) < p
     real = modular.residues
 
     def perturbed(key, prefactor, M, powers):
-        # adding the value primes' product changes only the witness residue
-        assert M == value_primes * prime_root(N, 1)[0]
-        return (real(key, prefactor, M, powers) + value_primes) % M
+        # adding p changes only the witness digit
+        assert M == p ** 2
+        return (real(key, prefactor, M, powers) + p) % M
 
     monkeypatch.setattr(modular, "residues", perturbed)
 
@@ -401,10 +440,11 @@ def test_division_free_det_matches_leibniz(p):
 
 
 def test_zero_divisor_pivot_reaches_the_denominator():
-    # a pivot nonzero mod M but 0 mod one of its primes: det = p - 1 is a
-    # unit mod M, but the denominator carries p, and the check refuses it
-    M = joint_root(12, 2)[0]
-    p = prime_root(12, 0)[0]
+    # a pivot nonzero mod M = p**2 but 0 mod p: det = p - 1 is a unit
+    # mod M, but the denominator carries p, and the check refuses it
+    M = lifted_root(12, 2)[0]
+    p = prime_root(12)[0]
+    assert M == p * p
     num, den = _det([[p, 1], [1, 1]], M)
     assert math.gcd(den, M) == p
     with pytest.raises(EvaluationError, match="vanishes"):
@@ -421,25 +461,59 @@ def test_vanishing_denominator_raises():
     # a root table of the trivial character: every Vandermonde and sine
     # factor is zero, so the product of the denominators is
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
-    M, powers = joint_root(8, 2)
+    M, powers = lifted_root(8, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
         residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
 
 
-def test_denominator_vanishing_mod_one_prime_raises():
-    # omega of order N mod the first prime, the trivial character mod the
-    # second: every denominator is a unit mod the first prime and 0 mod
-    # the second, so it is nonzero mod M and still refused
+def test_denominator_vanishing_mod_one_prime_raises(monkeypatch):
+    # the trivial character mod p, but distinct powers mod M = p**20:
+    # every Vandermonde is p times a unit, so the product of the
+    # denominators is 0 mod p but not mod M, and it is still refused
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
-    M, _ = joint_root(8, 2)
-    (p, omega), (p2, _) = prime_root(8, 0), prime_root(8, 1)
-    real = [pow(omega, m, p) for m in range(8)]
-    mixed = [a + p * ((1 - a) * pow(p, -1, p2) % p2) for a in real]
-    assert all(x % p == a and x % p2 == 1 for x, a in zip(mixed, real))
-    assert residues(q.canonical_key(), _prefactor(q), p, real) == \
-        closed_formula_cyclotomic(q) % p
+    p = prime_root(8)[0]
+    M = p ** 20
+    table = [1 + p * m for m in range(8)]
+    checked = []
+    real = modular._nonzero
+
+    def spied(x, modulus):
+        checked.append(x % modulus)
+        return real(x, modulus)
+
+    monkeypatch.setattr(modular, "_nonzero", spied)
+    assert residues(q.canonical_key(), _prefactor(q), *lifted_root(8, 1)) \
+        == closed_formula_cyclotomic(q) % p
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q.canonical_key(), _prefactor(q), M, mixed)
+        residues(q.canonical_key(), _prefactor(q), M, table)
+    assert checked[-1] % p == 0 and checked[-1] != 0
+
+
+def test_pivot_divisible_by_p_is_refused_in_the_closed_sum(monkeypatch):
+    # the pivot of the first alternant times p: nonzero mod the modulus
+    # p**(e+1), e >= 1, but 0 mod p, so the elimination puts it into the
+    # denominator, and the sum is refused, not rebuilt
+    q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
+    p = prime_root(8)[0]
+    real_det, real_nonzero = modular._det, modular._nonzero
+    checked = []
+
+    def scaled(rows, M):
+        if not checked:
+            rows = [[p * x % M for x in rows[0]]] + rows[1:]
+            checked.append(M)
+        return real_det(rows, M)
+
+    def spied(x, M):
+        checked.append(x % M)
+        return real_nonzero(x, M)
+
+    monkeypatch.setattr(modular, "_det", scaled)
+    monkeypatch.setattr(modular, "_nonzero", spied)
+    with pytest.raises(EvaluationError, match="vanishes"):
+        closed_formula_exact(q.canonical_key())
+    M, den = checked
+    assert M % (p * p) == 0 and den % p == 0 and den != 0
 
 
 def test_vanishing_denominator_raises_on_the_orbit_sum():
@@ -448,7 +522,7 @@ def test_vanishing_denominator_raises_on_the_orbit_sum():
     q = query(2, 1, ParabolicData(2, 3, (MarkedPoint("p", (1, 1), (0, 1)),)))
     assert q.ell_integral
     assert len(v_orbits(2, 3)) < len(list(v_vectors(2, 3)))
-    M, powers = joint_root(10, 2)
+    M, powers = lifted_root(10, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
         residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
 
@@ -527,7 +601,7 @@ def test_residues_reads_per_term(g, r, k, d, points, per_term):
     # alternant row of each point; no sine product is built
     q = query(g, d, ParabolicData(r, k, points))
     assert q.ell_integral
-    M, powers = joint_root(r * (r + k), 2)
+    M, powers = lifted_root(r * (r + k), 2)
     counted = _CountingPowers(powers)
     value = residues(q.canonical_key(), Fraction(1), M, counted)
     assert value == residues(q.canonical_key(), Fraction(1), M, powers)
