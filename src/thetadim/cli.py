@@ -511,8 +511,8 @@ def cmd_hecke(args) -> int:
     q, ctx = load_document(args.document)
     try:
         p = q.omega.point(args.point)
-    except KeyError as exc:
-        raise DocumentError([str(exc)]) from exc
+    except KeyError as exc:       # str() of a KeyError quotes its message
+        raise DocumentError([exc.args[0]]) from exc
     m = args.multiplicity if args.multiplicity is not None else p.flag[0]
     try:
         q2 = hecke_image(q, args.point, m)

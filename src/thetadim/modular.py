@@ -277,9 +277,10 @@ def lifted_root(N: int, e: int) -> tuple[int, tuple[int, ...]]:
 
 
 def _nonzero(x: int, M: int) -> int:
+    # M is not printed: it can pass the 4,300 digits str() converts
     if math.gcd(x, M) != 1:
         raise EvaluationError(
-            f"a denominator of the closed sum vanishes mod a prime of {M}")
+            "a denominator of the closed sum vanishes mod the prime")
     return x
 
 
@@ -314,10 +315,10 @@ def _det(rows: list[list[int]], M: int) -> tuple[int, int]:
     return num * rows[0][0] % M, den
 
 
-def residues(key, prefactor: Fraction, M: int, powers) -> int:
-    """The closed sum of a query key (`closed_sum`) times prefactor modulo
-    M, with zeta_N read as the root of unity whose powers mod M are given,
-    in one pass over the v-vectors; twist = d n - the sum of |lam|.
+def residues(key, M: int, powers) -> int:
+    """The closed sum of a query key (`closed_sum`) times its `prefactor`
+    modulo M, with zeta_N read as the root of unity whose powers mod M are
+    given, in one pass over the v-vectors; twist = d n - the sum of |lam|.
 
     By the sine lemma (module docstring) the term of v is
     zeta_N**((twist + r (r - 1) (g - 1)) |v|) prod alt / (Delta**e prod
@@ -362,8 +363,8 @@ def residues(key, prefactor: Fraction, M: int, powers) -> int:
         dens = dens * den % M
     if r * (r - 1) * (g - 1) // 2 % 2:
         total = -total
-    den = _nonzero(dens * prefactor.denominator, M)
-    return total * prefactor.numerator * pow(den, -1, M) % M
+    num, den = prefactor(key).as_integer_ratio()
+    return total * num * pow(_nonzero(dens * den, M), -1, M) % M
 
 
 def weyl_dimension(lam) -> int:
@@ -395,20 +396,36 @@ def _ln_weyl_blocks(lam):
         yield share
 
 
-def _sine_power(g: int, r: int, k: int) -> tuple:
-    """The sine product's share of the bound as a (base, exponent) pair."""
+def _bound_powers(key) -> list[tuple]:
+    """The bound's (base, exponent) pairs but C(n-1, r-1) and the dim V_lam:
+    the prefactor's sign, (k/r)**g, r**(g-1) and n**((r-1)(g-1)), n = r + k,
+    then the extreme sine product."""
+    g, d, r, k = key[:4]
     n, pairs = r + k, r * (r - 1) // 2
-    return (Fraction(n * n, 16), pairs * (g - 1)) if g >= 1 else (4, pairs)
+    return [(-1 if d * (r - 1) % 2 else 1, 1), (Fraction(k, r), g),
+            (r, g - 1), (n, (r - 1) * (g - 1)),
+            (Fraction(n * n, 16), pairs * (g - 1)) if g >= 1 else (4, pairs)]
 
 
-def magnitude_bound(key, prefactor: Fraction) -> Fraction:
+def prefactor(key) -> Fraction:
+    """The closed sum's rational prefactor; it reads only g, d, r and k.
+    It multiplies integers and reduces once, as a product of Fractions
+    would at every step."""
+    num = den = 1
+    for b, e in _bound_powers(key)[:-1]:
+        p, q = b.as_integer_ratio()[::1 if e >= 0 else -1]
+        num, den = num * p ** abs(e), den * q ** abs(e)
+    return Fraction(num, den)
+
+
+def magnitude_bound(key) -> Fraction:
     """A bound on |closed sum times prefactor|.  A Schur value at roots of
     unity is a sum of dim V_lam unit monomials, and 2 sin(pi m / n) >= 4 / n
     for 1 <= m < n, so each of the C(n-1, r-1) terms is bounded by the
     product of the dimensions times the extreme sine product."""
-    g, _, r, k, lams = key
-    base, e = _sine_power(g, r, k)
-    return (abs(prefactor) * base ** e * math.comb(r + k - 1, r - 1)
+    r, k, lams = key[2:]
+    base, e = _bound_powers(key)[-1]
+    return (abs(prefactor(key)) * base ** e * math.comb(r + k - 1, r - 1)
             * math.prod(map(weyl_dimension, lams)))
 
 
@@ -417,37 +434,48 @@ def _ln_terms(r: int, k: int) -> float:
     return math.lgamma(r + k) - math.lgamma(r) - math.lgamma(k + 1)
 
 
-def _log10_bound(key, prefactor_powers: list) -> float:
-    """log10 of magnitude_bound: the prefactor's and the sines' (base,
-    exponent) pairs by the logarithms of their bases, and C(n-1, r-1) and
-    each dim V_lam by lgamma, so that no big integer is built.  The dim
+def _log10_bound(key) -> float:
+    """log10 of magnitude_bound, refused with OversizedQuery from
+    MAX_DIGITS on: the (base, exponent) pairs of `_bound_powers` by the
+    logarithms of their bases, numerator and denominator apart, and
+    C(n-1, r-1) and each dim V_lam by lgamma, so that no big integer is
+    built, and a number beyond any float counts as infinite.  The dim
     V_lam come last, one block's share at a time, and every share is >= 0,
-    so the sum stops after the share that takes it to MAX_DIGITS: past
-    that it returns a lower bound, which is enough to refuse the query."""
-    g, _, r, k, lams = key
-    rest = sum(e * (math.log10(abs(b.numerator)) - math.log10(b.denominator))
-               for b, e in prefactor_powers + [_sine_power(g, r, k)])
-    ln = _ln_terms(r, k)
-    log10 = ln / math.log(10) + rest
-    for lam in lams:
-        for share in _ln_weyl_blocks(lam):
+    so the sum stops after the share that takes it to MAX_DIGITS; when
+    shares are left, the refusal says the bound is at least that."""
+    r, k, lams = key[2:]
+    shares = (share for lam in lams for share in _ln_weyl_blocks(lam))
+    whole = True
+    try:
+        rest = sum(e * (math.log10(abs(b.numerator))
+                        - math.log10(b.denominator))
+                   for b, e in _bound_powers(key))
+        ln = _ln_terms(r, k)
+        log10 = ln / math.log(10) + rest
+        for share in shares:
             ln += share
             log10 = ln / math.log(10) + rest
             if log10 >= MAX_DIGITS:
-                return log10
+                whole = next(shares, None) is None
+                break
+    except OverflowError:
+        log10 = math.inf
+    if log10 >= MAX_DIGITS:
+        raise OversizedQuery(f"query too large: the bound on its value is "
+                             f"{'' if whole else 'at least '}10**{log10:.1f}, "
+                             f"more than {MAX_DIGITS} digits")
     return log10
 
 
-def closed_sum(key, prefactor_powers: list) -> int:
-    """The closed sum of a `canonical_key` times its prefactor, the product
-    of the (base, exponent) pairs given, rebuilt from one residue modulo
-    p**(e+1), p the prime of its order and e the least exponent with
-    p**e > 2B: the residue mod p**e is the value, and the next p-adic digit
-    is its witness.  A query whose bound B = magnitude_bound(key,
-    prefactor) has more than MAX_DIGITS digits is refused with
-    OversizedQuery before any power is built or prime sought: log10 B is
-    summed from logarithms (`_log10_bound`), so the check is cheap at any
-    genus, rank and level.  So is a query whose table of N powers mod
+def closed_sum(key) -> int:
+    """The closed sum of a `canonical_key` times its `prefactor`, rebuilt
+    from one residue modulo p**(e+1), p the prime of its order and e the
+    least exponent with p**e > 2B: the residue mod p**e is the value, and
+    the next p-adic digit is its witness.  A query whose bound
+    B = magnitude_bound(key) has more than MAX_DIGITS digits is refused
+    with OversizedQuery before any power is built or prime sought: log10 B
+    is summed from logarithms (`_log10_bound`), so the check is cheap at
+    any genus, rank and level.  So is a query whose table of N powers mod
     p**(e+1) could pass MAX_TABLE_BITS bits: p**(e-1) <= 2B and
     p < 2**(2E - 1), so p**(e+1) has at most log2 B + 4E - 1 bits.  So is
     a query whose sum could take more than MAX_WORK steps: C(n-1, r-1)
@@ -455,13 +483,7 @@ def closed_sum(key, prefactor_powers: list) -> int:
     alternants, taken by lgamma as well."""
     r, k = key[2:4]
     N = r * (r + k)
-    try:
-        log10 = _log10_bound(key, prefactor_powers)
-    except OverflowError:                   # a number beyond any float
-        log10 = math.inf
-    if log10 >= MAX_DIGITS:
-        raise OversizedQuery(f"query too large: the bound on its value is "
-                             f"10**{log10:.1f}, more than {MAX_DIGITS} digits")
+    log10 = _log10_bound(key)
     bits = max(log10, 0) * math.log2(10) + 4 * _proth_exponent(N) - 1
     if N * bits > MAX_TABLE_BITS:
         raise OversizedQuery(f"query too large: its table of {N} powers mod "
@@ -472,14 +494,13 @@ def closed_sum(key, prefactor_powers: list) -> int:
     if work > math.log10(MAX_WORK):
         raise OversizedQuery(f"query too large: its sum takes about "
                              f"10**{work:.1f} steps, more than {MAX_WORK}")
-    prefactor = math.prod(b ** e for b, e in prefactor_powers)
-    bound = magnitude_bound(key, prefactor)
+    bound = magnitude_bound(key)
     p = prime_root(N)[0]
     e, modulus = 1, p
     while modulus <= 2 * bound:
         e, modulus = e + 1, modulus * p
     M, powers = lifted_root(N, e + 1)           # the witness digit comes last
-    residue = residues(key, prefactor, M, powers)
+    residue = residues(key, M, powers)
     value = residue % modulus
     if value > modulus // 2:
         value -= modulus

@@ -12,7 +12,7 @@ from thetadim.cli import (MAX_ELEMENTS, DocumentError, document_to_query,
                           main, query_to_document)
 from thetadim.modular import (MAX_DIGITS, MAX_TABLE_BITS, MAX_WORK,
                               magnitude_bound)
-from thetadim.verlinde import EvaluationError, _prefactor, dimension, query
+from thetadim.verlinde import EvaluationError, dimension, query
 from thetadim.weights import ParabolicData
 
 
@@ -189,6 +189,18 @@ def test_repeated_main_calls_are_independent(tmp_path, capsys, monkeypatch):
         assert main(argv) == 0
         assert "cache:" not in capsys.readouterr().out
     assert sorted(cache.rglob("*")) == before
+    # across commands: verify's --json reaches neither enumerate nor the
+    # next dim, which prints text and files nothing under the old --cache-dir
+    assert main(["verify", "genus", "--rank-max", "2", "--level-max", "2",
+                 "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["suites"] == {"genus": 36}
+    assert main(["enumerate", "pk", "-r", "2", "-k", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == ["0 0", "1 0", "1 1",
+                                                    "count: 3"]
+    assert main(["dim", doc]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[0] == "value: 3" and "cache:" not in out
+    assert sorted(cache.rglob("*")) == before
 
 
 def test_dim_malformed_json(tmp_path, capsys):
@@ -255,29 +267,37 @@ def _one_point(flag):
     return [{"label": "p", "flag": flag, "weights": [0, 1]}]
 
 
-@pytest.mark.parametrize("doc", [
-    {"genus": 100000, "rank": 2, "degree": 0, "level": 2},
-    {"genus": 10 ** 400, "rank": 2, "degree": 0, "level": 2},
-    {"genus": 2, "rank": 2000, "degree": 0, "level": 1,
-     "points": _one_point([1, 1999])},
-    {"genus": 2, "rank": 10 ** 6, "degree": 0, "level": 10 ** 6},
-    {"genus": 2, "rank": 2000, "degree": 0, "level": 2000,
-     "points": [{"label": "p", "flag": [1] * 2000,
-                 "weights": list(range(2000))}]},
+@pytest.mark.parametrize("doc, bound", [
+    ({"genus": 100000, "rank": 2, "degree": 0, "level": 2}, None),
+    ({"genus": 10 ** 400, "rank": 2, "degree": 0, "level": 2}, None),
+    ({"genus": 2, "rank": 2000, "degree": 0, "level": 1,
+      "points": _one_point([1, 1999])}, "is 10**10797952.5,"),
+    ({"genus": 2, "rank": 10 ** 6, "degree": 0, "level": 10 ** 6}, None),
+    ({"genus": 2, "rank": 2000, "degree": 0, "level": 2000,
+      "points": [{"label": "p", "flag": [1] * 2000,
+                  "weights": list(range(2000))}]},
+     "is at least 10**12002406.0,"),
 ], ids=["100000", str(10 ** 400), "rank-2000-one-point", "rank-level-1000000",
         "rank-2000-many-blocks"])
-def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, doc):
+def test_oversized_query_is_refused_before_the_work(tmp_path, capsys, doc,
+                                                    bound):
     # at genus 100000 the bound has 90,309 digits: the query once ran for
     # 15 s and then failed to print its value with exit 3; the size check
     # once built dim V_lam at rank 2000 for more than 60 s, C(n-1, r-1)
     # and n**(r-1) at rank = level = 10**6 for 36 s, and the logarithm of
-    # dim V_lam of 2,000 one-row blocks in 2 10**6 lgamma calls for 1.4 s
+    # dim V_lam of 2,000 one-row blocks in 2 10**6 lgamma calls for 1.4 s;
+    # it now stops after the first block's share, so it prints a lower
+    # bound (the whole bound is 10**12604164.7), while the one-point
+    # query's sum runs to its last share and prints the bound itself
     start = time.monotonic()
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert time.monotonic() - start < 1.0
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error: query too large") and str(MAX_DIGITS) in err
+    if bound is not None:
+        assert err == (f"error: query too large: the bound on its value "
+                       f"{bound} more than {MAX_DIGITS} digits\n")
 
 
 def test_table_refuses_an_oversized_cell(capsys):
@@ -334,10 +354,8 @@ def test_query_just_inside_the_digit_limit_prints_its_value(tmp_path, capsys):
     # 4,301 at g = 4762; the value is 2**(g - 1) * (2**g + 1)
     g = 4761
     inside, outside = (query(h, 0, ParabolicData(2, 2)) for h in (g, g + 1))
-    assert magnitude_bound(inside.canonical_key(),
-                           _prefactor(inside)) < 10 ** MAX_DIGITS
-    assert magnitude_bound(outside.canonical_key(),
-                           _prefactor(outside)) >= 10 ** MAX_DIGITS
+    assert magnitude_bound(inside.canonical_key()) < 10 ** MAX_DIGITS
+    assert magnitude_bound(outside.canonical_key()) >= 10 ** MAX_DIGITS
     doc = {"genus": g, "rank": 2, "degree": 0, "level": 2}
     rc = main(["dim", write_doc(tmp_path, doc), "--json"])
     assert rc == 0
@@ -938,6 +956,7 @@ def test_hecke_human_output_streams(tmp_path, capsys):
 def test_hecke_unknown_point(tmp_path, capsys):
     rc = main(["hecke", write_doc(tmp_path, POINT_DOC), "--point", "zz"])
     assert rc == 2
+    assert capsys.readouterr().err == "error: no point labelled 'zz'\n"
 
 
 def test_hecke_illegal_multiplicity(tmp_path, capsys):

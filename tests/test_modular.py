@@ -1,7 +1,6 @@
 import json
 import math
 import random
-from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -14,8 +13,8 @@ from thetadim.modular import (EvaluationError, _det, _nonzero, _proth_exponent,
                               prime_root, residues, weyl_dimension)
 from thetadim.schur import _perm_sign, v_orbits, v_vectors
 from thetadim.cyclotomic import cyclotomic_polynomial
-from thetadim.verlinde import (_prefactor, closed_formula_cyclotomic,
-                               closed_formula_exact, query, verify)
+from thetadim.verlinde import (closed_formula_cyclotomic, closed_formula_exact,
+                               query, verify)
 from thetadim.weights import MarkedPoint, ParabolicData
 
 
@@ -244,9 +243,9 @@ def test_a_query_searches_each_prime_once(monkeypatch):
         searched.append(n)
         return real_factors(n)
 
-    def spied(key, prefactor, M, powers):
+    def spied(key, M, powers):
         moduli.append(M)
-        return real_residues(key, prefactor, M, powers)
+        return real_residues(key, M, powers)
 
     monkeypatch.setattr(modular, "_prime_factors", counted)
     monkeypatch.setattr(modular, "residues", spied)
@@ -278,8 +277,8 @@ def test_size_check_logarithms_match_the_integers():
                             math.log(weyl_dimension(lam)), abs_tol=1e-9)
     for q in _grid(range(1, 6), range(1, 6), range(0, 4), 2, seed=17):
         key = q.canonical_key()
-        assert math.isclose(modular._log10_bound(key, []),
-                            math.log10(magnitude_bound(key, Fraction(1))),
+        assert math.isclose(modular._log10_bound(key),
+                            math.log10(magnitude_bound(key)),
                             abs_tol=1e-9), q
 
 
@@ -288,7 +287,7 @@ def test_size_check_logarithms_match_the_integers():
 def test_bound_covers_every_value():
     for q in _grid(range(1, 5), range(1, 5), range(0, 4), 2, seed=11):
         value = closed_formula_exact(q.canonical_key())
-        assert magnitude_bound(q.canonical_key(), _prefactor(q)) >= value
+        assert magnitude_bound(q.canonical_key()) >= value
 
 
 def test_agrees_with_cyclotomic_oracle():
@@ -301,7 +300,7 @@ def test_agrees_with_cyclotomic_oracle():
         # one pass gives the residue mod p**3, three p-adic digits
         N = q.rank * (q.rank + q.level)
         M, powers = lifted_root(N, 3)
-        residue = residues(q.canonical_key(), _prefactor(q), M, powers)
+        residue = residues(q.canonical_key(), M, powers)
         assert residue == oracle % M, q
     assert exceptional > 0
 
@@ -324,16 +323,15 @@ def test_value_needing_two_primes(monkeypatch):
     calls = []
     real = modular.residues
 
-    def counted(key, prefactor, M, powers):
+    def counted(key, M, powers):
         calls.append(M)
-        return real(key, prefactor, M, powers)
+        return real(key, M, powers)
 
     monkeypatch.setattr(modular, "residues", counted)
     assert closed_formula_exact(q.canonical_key()) == 36436622194475008
     # one pass, modulo p**3: two p-adic digits of the value and the witness
     p = prime_root(3 * 11)[0]
-    assert 36436622194475008 < p < 2 * magnitude_bound(q.canonical_key(),
-                                                       _prefactor(q))
+    assert 36436622194475008 < p < 2 * magnitude_bound(q.canonical_key())
     assert calls == [p ** 3]
 
 
@@ -351,13 +349,13 @@ def _perturb_witness(monkeypatch, q):
     N = q.rank * (q.rank + q.level)
     # the query needs one p-adic digit, so the second one is the witness
     p = prime_root(N)[0]
-    assert 2 * magnitude_bound(q.canonical_key(), _prefactor(q)) < p
+    assert 2 * magnitude_bound(q.canonical_key()) < p
     real = modular.residues
 
-    def perturbed(key, prefactor, M, powers):
+    def perturbed(key, M, powers):
         # adding p changes only the witness digit
         assert M == p ** 2
-        return (real(key, prefactor, M, powers) + p) % M
+        return (real(key, M, powers) + p) % M
 
     monkeypatch.setattr(modular, "residues", perturbed)
 
@@ -463,7 +461,16 @@ def test_vanishing_denominator_raises():
     q = query(2, 0, ParabolicData(2, 2, (MarkedPoint("p", (1, 1), (0, 1)),)))
     M, powers = lifted_root(8, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
+        residues(q.canonical_key(), M, (1,) * len(powers))
+
+
+def test_vanishing_denominator_past_the_digit_limit_raises():
+    # mod p**240, 14,640 bits, past the 4,300 digits str() converts: the
+    # refusal prints no modulus, so it stays an EvaluationError
+    M, powers = lifted_root(8, 240)
+    assert M.bit_length() > 4300 * math.log2(10)
+    with pytest.raises(EvaluationError, match="vanishes"):
+        residues((2, 0, 2, 2, ((1, 0),)), M, (1,) * len(powers))
 
 
 def test_denominator_vanishing_mod_one_prime_raises(monkeypatch):
@@ -482,10 +489,10 @@ def test_denominator_vanishing_mod_one_prime_raises(monkeypatch):
         return real(x, modulus)
 
     monkeypatch.setattr(modular, "_nonzero", spied)
-    assert residues(q.canonical_key(), _prefactor(q), *lifted_root(8, 1)) \
+    assert residues(q.canonical_key(), *lifted_root(8, 1)) \
         == closed_formula_cyclotomic(q) % p
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q.canonical_key(), _prefactor(q), M, table)
+        residues(q.canonical_key(), M, table)
     assert checked[-1] % p == 0 and checked[-1] != 0
 
 
@@ -524,7 +531,7 @@ def test_vanishing_denominator_raises_on_the_orbit_sum():
     assert len(v_orbits(2, 3)) < len(list(v_vectors(2, 3)))
     M, powers = lifted_root(10, 2)
     with pytest.raises(EvaluationError, match="vanishes"):
-        residues(q.canonical_key(), _prefactor(q), M, (1,) * len(powers))
+        residues(q.canonical_key(), M, (1,) * len(powers))
 
 
 def test_verify_backend_survives_a_float_refusal():
@@ -603,6 +610,6 @@ def test_residues_reads_per_term(g, r, k, d, points, per_term):
     assert q.ell_integral
     M, powers = lifted_root(r * (r + k), 2)
     counted = _CountingPowers(powers)
-    value = residues(q.canonical_key(), Fraction(1), M, counted)
-    assert value == residues(q.canonical_key(), Fraction(1), M, powers)
+    value = residues(q.canonical_key(), M, counted)
+    assert value == residues(q.canonical_key(), M, powers)
     assert counted.reads == per_term * len(v_orbits(r, k))

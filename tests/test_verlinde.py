@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import thetadim
-from thetadim import schur, verlinde
+from thetadim import modular, schur, verlinde
 from thetadim.cli import (_grid_queries, _random_point, _split_cases,
                           build_parser, document_to_query, query_key,
                           query_to_document)
@@ -732,13 +732,13 @@ def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
 
 def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
     seen = []
-    real = verlinde.closed_sum
+    real = modular.residues
 
-    def spy(key, prefactor_powers):
+    def spy(key, M, powers):
         seen.append(key)
-        return real(key, prefactor_powers)
+        return real(key, M, powers)
 
-    monkeypatch.setattr(verlinde, "closed_sum", spy)
+    monkeypatch.setattr(modular, "residues", spy)
     count = 0
     for r, k, g, d in itertools.product(range(1, 5), range(1, 5), range(3),
                                         range(2)):
