@@ -1,15 +1,13 @@
 """Exact arithmetic in the cyclotomic fields Q(zeta_N), zeta_N = exp(2*pi*i/N).
 
-A CycNum of order N holds N rational coefficients (c_0, ..., c_{N-1}) and
-stands for sum_i c_i * zeta_N**i.  Coefficient vectors are kept raw, meaning
-reduced modulo x**N - 1 only, so a product is a plain cyclic convolution.
-Reduction modulo the N-th cyclotomic polynomial Phi_N is deferred to the
-places that actually need a canonical form: equality tests, inversion, and
-extraction of rational values.  In canonical form every coefficient of index
->= deg(Phi_N) is zero.  One monic long division builds Phi_N (a tuple of
-ints, lowest degree first), gives the canonical form as a remainder, and
-drives the extended Euclid inverse, whose cofactors are CycNums.  Float
-coefficients are refused: Fraction(float) would make a value inexact.
+Phi_N, the N-th cyclotomic polynomial, is irreducible (Washington,
+*Introduction to Cyclotomic Fields*, ch. 2), so each value of Q(zeta_N) has
+exactly one representative of degree < deg(Phi_N).  A CycNum keeps it as
+integer numerators over one positive denominator, in lowest terms, so two
+spellings of one value have equal fields.  One monic long division builds
+Phi_N (a tuple of ints, lowest degree first) and reduces every integer
+product; `inverse` divides the other Galois conjugates by the norm.
+Float coefficients are refused: Fraction(float) would make a value inexact.
 
 Values are immutable; share them freely across threads.
 """
@@ -22,7 +20,6 @@ import math
 from fractions import Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class NotRationalError(ValueError):
@@ -35,6 +32,11 @@ class NotRationalError(ValueError):
     def __init__(self, coeffs):
         self.coeffs = tuple(coeffs)
         super().__init__(f"not a rational value; canonical coefficients {self.coeffs}")
+
+
+def _check_order(N: int) -> None:
+    if N < 1:
+        raise ValueError("order must be >= 1")
 
 
 def _divmod_monic(a, b) -> tuple[list, list]:
@@ -57,8 +59,7 @@ def _divmod_monic(a, b) -> tuple[list, list]:
 def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
     """Coefficients of the N-th cyclotomic polynomial Phi_N, lowest degree
     first: divide x**N - 1 by Phi_d for proper d | N."""
-    if N < 1:
-        raise ValueError("order must be >= 1")
+    _check_order(N)
     poly = [-1] + [0] * (N - 1) + [1]
     for d in range(1, N):
         if N % d == 0:
@@ -71,33 +72,46 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
 class CycNum:
     """An element of Q(zeta_N), order N fixed at construction."""
 
-    __slots__ = ("order", "coeffs", "_canon")
+    __slots__ = ("order", "_nums", "_den")
 
-    def __init__(self, order: int, coeffs=()):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        cs = [_ZERO] * order
-        for i, c in enumerate(coeffs):
-            if i >= order:
-                raise ValueError("too many coefficients for the order")
-            if not isinstance(c, Fraction):
-                if isinstance(c, float):
-                    raise TypeError("float coefficient; pass an int or Fraction")
-                c = Fraction(c)
-            cs[i] = c
-        self.order = order
-        self.coeffs = tuple(cs)
-        self._canon = None
+    def __new__(cls, order: int, coeffs=()):
+        _check_order(order)
+        cs = list(coeffs)
+        if len(cs) > order:
+            raise ValueError("too many coefficients for the order")
+        if any(isinstance(c, float) for c in cs):
+            raise TypeError("float coefficient; pass an int or Fraction")
+        cs = [Fraction(c) for c in cs]
+        den = math.lcm(*(c.denominator for c in cs))
+        return cls._of(order, [c.numerator * (den // c.denominator) for c in cs], den)
+
+    @classmethod
+    def _of(cls, order: int, nums: list, den: int = 1) -> "CycNum":
+        """sum(nums[i] * zeta**i) / den (ints, den > 0) in canonical form."""
+        phi = cyclotomic_polynomial(order)
+        if len(nums) >= len(phi):
+            nums = _divmod_monic(nums, phi)[1]
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+        x = object.__new__(cls)
+        x.order = order
+        x._nums = tuple(nums) + (0,) * (len(phi) - 1 - len(nums))
+        x._den = den
+        return x
+
+    def __reduce__(self):
+        return CycNum, (self.order, self.canonical())
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, order: int) -> "CycNum":
-        return cls(order)
+        return cls._of(order, [])
 
     @classmethod
     def one(cls, order: int) -> "CycNum":
-        return cls(order, (1,))
+        return cls._of(order, [1])
 
     @classmethod
     def from_rational(cls, q, order: int) -> "CycNum":
@@ -120,7 +134,9 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        d, e = self._den, other._den
+        return CycNum._of(self.order,
+                          [a * e + b * d for a, b in zip(self._nums, other._nums)], d * e)
 
     __radd__ = __add__
 
@@ -128,7 +144,7 @@ class CycNum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return CycNum(self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return self + -other
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -137,28 +153,22 @@ class CycNum:
         return other - self
 
     def __neg__(self):
-        return CycNum(self.order, [-a for a in self.coeffs])
+        return CycNum._of(self.order, [-a for a in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNum(self.order, [a * other for a in self.coeffs])
-        if not isinstance(other, CycNum):
+            return CycNum._of(self.order, [a * other.numerator for a in self._nums],
+                              self._den * other.denominator)
+        other = self._coerce(other)
+        if other is None:
             return NotImplemented
-        if other.order != self.order:
-            raise ValueError(
-                f"order mismatch ({self.order} vs {other.order}); promote first"
-            )
-        N = self.order
-        out = [_ZERO] * N
-        for i, ai in enumerate(self.coeffs):
-            if ai:
-                for j, bj in enumerate(other.coeffs):
-                    if bj:
-                        idx = i + j
-                        if idx >= N:
-                            idx -= N
-                        out[idx] += ai * bj
-        return CycNum(N, out)
+        bs = [(j, b) for j, b in enumerate(other._nums) if b]
+        out = [0] * (2 * len(self._nums) - 1)
+        for i, a in enumerate(self._nums):
+            if a:
+                for j, b in bs:
+                    out[i + j] += a * b
+        return CycNum._of(self.order, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -179,18 +189,14 @@ class CycNum:
     # -- canonical form and predicates ------------------------------------
 
     def canonical(self) -> tuple:
-        """Coefficients reduced modulo Phi_N, padded with zeros to length N."""
-        if self._canon is None:
-            # divide integer numerators over one common denominator
-            den = math.lcm(*(c.denominator for c in self.coeffs))
-            nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-            _, low = _divmod_monic(nums, cyclotomic_polynomial(self.order))
-            low += [0] * (self.order - len(low))
-            self._canon = tuple(Fraction(c, den) if c else _ZERO for c in low)
-        return self._canon
+        """Coefficients reduced modulo Phi_N, Fractions padded to length N."""
+        pad = (_ZERO,) * (self.order - len(self._nums))
+        return tuple(Fraction(c, self._den) for c in self._nums) + pad
+
+    coeffs = property(canonical, doc="The canonical coefficients; read-only.")
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.canonical())
+        return not any(self._nums)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -200,7 +206,7 @@ class CycNum:
         if other.order != self.order:
             m = math.lcm(self.order, other.order)
             return self.promote(m) == other.promote(m)
-        return self.canonical() == other.canonical()
+        return self._nums == other._nums and self._den == other._den
 
     __hash__ = None  # cross-order equality makes a consistent hash awkward
 
@@ -215,71 +221,63 @@ class CycNum:
     # -- field operations --------------------------------------------------
 
     def inverse(self) -> "CycNum":
-        """Multiplicative inverse, by the extended Euclid algorithm against Phi_N
-        with every divisor made monic (von zur Gathen and Gerhard, *Modern
-        Computer Algebra*, ch. 3).  Phi_N is irreducible, so the remainders
-        reach the constant 1."""
+        """x**-1 = prod_{a != 1} sigma_a(x) / N(x), a in (Z/N)^x, sigma_a(zeta) = zeta**a.
+
+        Proof.  For a prime to N, zeta**a is a root of Phi_N, which is
+        irreducible, so sigma_a is a field automorphism of Q[x]/Phi_N; the
+        phi(N) of them form the Galois group G.  The norm N(x), the product
+        of sigma_a(x) over G, is fixed by each sigma_b, which permutes the
+        factors, so N(x) lies in the fixed field Q.  For x != 0 no factor
+        vanishes (sigma_a is injective), so N(x) is a nonzero rational, and
+        x * prod_{a != 1} sigma_a(x) = N(x) gives the formula."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        # invariant: r_i == t_i * self mod Phi_N; deg(q t_1) < N, so no wrap
         N = self.order
-        r0, t0 = [Fraction(c) for c in cyclotomic_polynomial(N)], CycNum.zero(N)
-        r1, t1 = _poly_trim(list(self.canonical())), CycNum.one(N)
-        while True:
-            lead = r1[-1]
-            if lead != 1:
-                r1 = [c / lead for c in r1]
-                t1 = t1 * (1 / lead)
-            if len(r1) == 1:
-                return t1
-            q, rem = _divmod_monic(r0, r1)
-            r0, t0, r1, t1 = r1, t1, _poly_trim(rem), t0 - CycNum(N, q) * t1
+        rest = CycNum.one(N)
+        for a in range(2, N):
+            if math.gcd(a, N) == 1:
+                rest = rest * self._substitute(N, a)
+        return rest * (1 / (self * rest).as_rational())
+
+    def _substitute(self, order: int, step: int) -> "CycNum":
+        """sum c_i zeta_order**(i*step): sigma_step, or promotion to a multiple."""
+        out = [0] * order
+        for i, c in enumerate(self._nums):
+            if c:
+                out[i * step % order] += c
+        return CycNum._of(order, out, self._den)
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta**i -> zeta**(N-i)."""
-        N = self.order
-        out = [_ZERO] * N
-        for i, c in enumerate(self.coeffs):
-            if c:
-                out[(N - i) % N] += c
-        return CycNum(N, out)
+        return self._substitute(self.order, -1)
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction, or NotRationalError if zeta survives."""
-        canon = self.canonical()
-        if any(c != 0 for c in canon[1:]):
-            raise NotRationalError(canon)
-        return canon[0]
+        if any(self._nums[1:]):
+            raise NotRationalError(self.canonical())
+        return Fraction(self._nums[0], self._den)
 
     def promote(self, new_order: int) -> "CycNum":
         """Reinterpret in Q(zeta_M) for a multiple M of the order."""
+        _check_order(new_order)
         if new_order % self.order:
             raise ValueError("new order must be a multiple of the current order")
-        s = new_order // self.order
-        out = [_ZERO] * new_order
-        for i, c in enumerate(self.coeffs):
-            out[i * s] = c
-        return CycNum(new_order, out)
+        return self._substitute(new_order, new_order // self.order)
 
     def embed(self) -> complex:
         """Numerical value in C."""
-        N = self.order
-        tau = 2.0 * math.pi / N
+        den = self._den
+        tau = 2.0 * math.pi / self.order
         total = 0j
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(self._nums):
             if c:
-                total += float(c) * cmath.rect(1.0, tau * i)
+                total += (c / den) * cmath.rect(1.0, tau * i)
         return total
 
 
 def root_power(N: int, m: int) -> CycNum:
     """zeta_N**m, exponent taken modulo N."""
-    out = [_ZERO] * N
-    out[m % N] = _ONE
-    return CycNum(N, out)
-
-
-def _poly_trim(p: list) -> list:
-    while p and p[-1] == 0:
-        p.pop()
-    return p
+    _check_order(N)
+    out = [0] * N
+    out[m % N] = 1
+    return CycNum._of(N, out)

@@ -176,9 +176,10 @@ def s_omega(omega, v) -> CycNum:
 
 def sin_sq(m: int, n: int) -> CycNum:
     """(2 sin(pi m / n))**2 as the exact value 2 - zeta**m - zeta**-m."""
+    z = root_power(n, m)                    # refuses an order below 1 first
     if m % n == 0:
         raise ValueError("argument is a multiple of the order; sine vanishes")
-    return 2 - root_power(n, m) - root_power(n, -m)
+    return 2 - z - z.conjugate()
 
 
 def _sin_sq_product(v, n: int) -> CycNum:

@@ -1,10 +1,13 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thetadim import schur
 from thetadim.cyclotomic import (CycNum, NotRationalError,
                                  cyclotomic_polynomial, root_power)
 
@@ -40,6 +43,43 @@ def test_cyclotomic_polynomial_degree_and_root():
 def test_cyclotomic_polynomial_rejects_bad_order():
     with pytest.raises(ValueError):
         cyclotomic_polynomial(0)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CycNum(0),
+    lambda: CycNum(-2, (1,)),
+    lambda: root_power(0, 1),
+    lambda: root_power(-3, 1),
+    lambda: root_power(3, 1).promote(-3),
+    lambda: root_power(3, 1).promote(0),
+    lambda: schur.sin_sq(1, 0),
+], ids=["CycNum-0", "CycNum-negative", "root_power-0", "root_power-negative",
+        "promote-negative", "promote-0", "sin_sq-0"])
+def test_order_below_one_is_refused(make):
+    with pytest.raises(ValueError, match="order must be >= 1"):
+        make()
+
+
+def test_coeffs_cannot_be_assigned():
+    x = CycNum(3, [1])
+    with pytest.raises(AttributeError):
+        x.coeffs = (0, 1, 0)
+    assert x == 1 and x * 1 == 1 and x.coeffs == (1, 0, 0)
+
+
+def test_two_spellings_have_equal_coefficients():
+    a, b = root_power(3, 2), -1 - root_power(3, 1)
+    assert a.coeffs == b.coeffs == (-1, -1, 0)      # zero from phi(3) = 2 on
+    # zeta_12^8 = -zeta_12^2, and the twelve roots of unity sum to zero
+    c = Fraction(2, 3) * root_power(12, 8) + CycNum(12, [Fraction(1, 6)] * 12)
+    assert c.coeffs == CycNum(12, (0, 0, Fraction(-4, 6))).coeffs
+    assert c.coeffs[totient(12):] == (0,) * (12 - totient(12))
+
+
+def test_values_survive_pickle_and_copy():
+    x = Fraction(3, 4) * root_power(5, 2) - 1
+    assert pickle.loads(pickle.dumps(x)) == x
+    assert copy.deepcopy(x) == x and copy.copy(x).coeffs == x.coeffs
 
 
 def test_root_power_basics():
@@ -133,7 +173,7 @@ def test_pow_negative_exponent():
 
 @st.composite
 def cyc_pairs(draw, count=2):
-    N = draw(st.integers(min_value=1, max_value=12))
+    N = draw(st.integers(min_value=1, max_value=30))
     vals = []
     for _ in range(count):
         coeffs = [0] * N
