@@ -6,7 +6,8 @@ exactly one representative of degree < deg(Phi_N).  A CycNum keeps it as
 integer numerators over one positive denominator, in lowest terms, so two
 spellings of one value have equal fields.  One monic long division builds
 Phi_N (a tuple of ints, lowest degree first) and reduces every integer
-product; `inverse` divides the other Galois conjugates by the norm.
+product; `inverse` divides the other Galois conjugates by the norm,
+multiplied up a tower of subgroups in O(log phi(N)) products.
 Float coefficients are refused: Fraction(float) would make a value inexact.
 
 Values are immutable; share them freely across threads.
@@ -72,7 +73,7 @@ def cyclotomic_polynomial(N: int) -> tuple[int, ...]:
 class CycNum:
     """An element of Q(zeta_N), order N fixed at construction."""
 
-    __slots__ = ("order", "_nums", "_den")
+    __slots__ = ("_order", "_nums", "_den")
 
     def __new__(cls, order: int, coeffs=()):
         _check_order(order)
@@ -95,13 +96,15 @@ class CycNum:
         if g != 1:
             nums, den = [c // g for c in nums], den // g
         x = object.__new__(cls)
-        x.order = order
+        x._order = order
         x._nums = tuple(nums) + (0,) * (len(phi) - 1 - len(nums))
         x._den = den
         return x
 
+    order = property(lambda self: self._order, doc="N, fixed at construction; read-only.")
+
     def __reduce__(self):
-        return CycNum, (self.order, self.canonical())
+        return CycNum, (self._order, self.canonical())
 
     # -- constructors ------------------------------------------------------
 
@@ -121,13 +124,13 @@ class CycNum:
 
     def _coerce(self, other):
         if isinstance(other, CycNum):
-            if other.order != self.order:
+            if other._order != self._order:
                 raise ValueError(
-                    f"order mismatch ({self.order} vs {other.order}); promote first"
+                    f"order mismatch ({self._order} vs {other._order}); promote first"
                 )
             return other
         if isinstance(other, (int, Fraction)):
-            return CycNum.from_rational(other, self.order)
+            return CycNum.from_rational(other, self._order)
         return None
 
     def __add__(self, other):
@@ -135,7 +138,7 @@ class CycNum:
         if other is None:
             return NotImplemented
         d, e = self._den, other._den
-        return CycNum._of(self.order,
+        return CycNum._of(self._order,
                           [a * e + b * d for a, b in zip(self._nums, other._nums)], d * e)
 
     __radd__ = __add__
@@ -153,11 +156,11 @@ class CycNum:
         return other - self
 
     def __neg__(self):
-        return CycNum._of(self.order, [-a for a in self._nums], self._den)
+        return CycNum._of(self._order, [-a for a in self._nums], self._den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return CycNum._of(self.order, [a * other.numerator for a in self._nums],
+            return CycNum._of(self._order, [a * other.numerator for a in self._nums],
                               self._den * other.denominator)
         other = self._coerce(other)
         if other is None:
@@ -168,7 +171,7 @@ class CycNum:
             if a:
                 for j, b in bs:
                     out[i + j] += a * b
-        return CycNum._of(self.order, out, self._den * other._den)
+        return CycNum._of(self._order, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -177,7 +180,7 @@ class CycNum:
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = CycNum.one(self.order)
+        result = CycNum.one(self._order)
         base = self
         while n:
             if n & 1:
@@ -190,7 +193,7 @@ class CycNum:
 
     def canonical(self) -> tuple:
         """Coefficients reduced modulo Phi_N, Fractions padded to length N."""
-        pad = (_ZERO,) * (self.order - len(self._nums))
+        pad = (_ZERO,) * (self._order - len(self._nums))
         return tuple(Fraction(c, self._den) for c in self._nums) + pad
 
     coeffs = property(canonical, doc="The canonical coefficients; read-only.")
@@ -200,11 +203,11 @@ class CycNum:
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = CycNum.from_rational(other, self.order)
+            other = CycNum.from_rational(other, self._order)
         if not isinstance(other, CycNum):
             return NotImplemented
-        if other.order != self.order:
-            m = math.lcm(self.order, other.order)
+        if other._order != self._order:
+            m = math.lcm(self._order, other._order)
             return self.promote(m) == other.promote(m)
         return self._nums == other._nums and self._den == other._den
 
@@ -216,7 +219,7 @@ class CycNum:
             if c:
                 parts.append(f"{c}*z^{i}" if i else f"{c}")
         body = " + ".join(parts) if parts else "0"
-        return f"CycNum({self.order}: {body})"
+        return f"CycNum({self._order}: {body})"
 
     # -- field operations --------------------------------------------------
 
@@ -229,15 +232,34 @@ class CycNum:
         of sigma_a(x) over G, is fixed by each sigma_b, which permutes the
         factors, so N(x) lies in the fixed field Q.  For x != 0 no factor
         vanishes (sigma_a is injective), so N(x) is a nonzero rational, and
-        x * prod_{a != 1} sigma_a(x) = N(x) gives the formula."""
+        x * prod_{a != 1} sigma_a(x) = N(x) gives the formula.
+
+        The product runs up a tower 1 = H_0 < ... < H_t = G, H_i made by
+        H_(i-1) and a unit g of order m modulo it, so the cosets g**j H_(i-1),
+        j < m, tile H_i.  If y is the product of sigma_h(x) over H_(i-1), then
+        y * r, r = prod_{0 < j < m} sigma_g**j(y), is the product over H_i;
+        at H_t it is N(x), so x times all the r's is N(x).  Doubling,
+        P(a + b) = P(a) * sigma_g**a(P(b)) for P(n) = prod_{j < n}
+        sigma_g**j(y), builds r = sigma_g(P(m - 1)) in O(log m) products."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero")
-        N = self.order
-        rest = CycNum.one(N)
-        for a in range(2, N):
-            if math.gcd(a, N) == 1:
-                rest = rest * self._substitute(N, a)
-        return rest * (1 / (self * rest).as_rational())
+        N = self._order
+        y, rest, H = self, None, {1 % N}
+        for g in range(2, N):
+            if g in H or math.gcd(g, N) != 1:
+                continue
+            powers = [1, g]  # g**j mod N up to the first g**m in H
+            while powers[-1] not in H:
+                powers.append(powers[-1] * g % N)
+            H = {h * q % N for h in H for q in powers[:-1]}
+            p, n = y, 1
+            for bit in bin(len(powers) - 2)[3:]:  # P(m - 1), leading bit first
+                p, n = p * p._substitute(N, powers[n]), 2 * n
+                if bit == "1":
+                    p, n = y * p._substitute(N, g), n + 1
+            r = p._substitute(N, g)
+            y, rest = y * r, r if rest is None else rest * r
+        return (rest or CycNum.one(N)) * (1 / y.as_rational())
 
     def _substitute(self, order: int, step: int) -> "CycNum":
         """sum c_i zeta_order**(i*step): sigma_step, or promotion to a multiple."""
@@ -249,7 +271,7 @@ class CycNum:
 
     def conjugate(self) -> "CycNum":
         """Complex conjugation, zeta**i -> zeta**(N-i)."""
-        return self._substitute(self.order, -1)
+        return self._substitute(self._order, -1)
 
     def as_rational(self) -> Fraction:
         """The value as a Fraction, or NotRationalError if zeta survives."""
@@ -260,14 +282,14 @@ class CycNum:
     def promote(self, new_order: int) -> "CycNum":
         """Reinterpret in Q(zeta_M) for a multiple M of the order."""
         _check_order(new_order)
-        if new_order % self.order:
+        if new_order % self._order:
             raise ValueError("new order must be a multiple of the current order")
-        return self._substitute(new_order, new_order // self.order)
+        return self._substitute(new_order, new_order // self._order)
 
     def embed(self) -> complex:
         """Numerical value in C."""
         den = self._den
-        tau = 2.0 * math.pi / self.order
+        tau = 2.0 * math.pi / self._order
         total = 0j
         for i, c in enumerate(self._nums):
             if c:
@@ -278,6 +300,4 @@ class CycNum:
 def root_power(N: int, m: int) -> CycNum:
     """zeta_N**m, exponent taken modulo N."""
     _check_order(N)
-    out = [0] * N
-    out[m % N] = 1
-    return CycNum._of(N, out)
+    return CycNum._of(N, [0] * (m % N) + [1])

@@ -61,10 +61,19 @@ def test_order_below_one_is_refused(make):
 
 
 def test_coeffs_cannot_be_assigned():
-    x = CycNum(3, [1])
+    x = CycNum(3, [1, 2])
     with pytest.raises(AttributeError):
         x.coeffs = (0, 1, 0)
-    assert x == 1 and x * 1 == 1 and x.coeffs == (1, 0, 0)
+    with pytest.raises(AttributeError):
+        x.order = 4                                  # phi(4) = phi(3) = 2
+    assert x.order == 3 and x == 1 + 2 * root_power(3, 1) and x.coeffs == (1, 2, 0)
+
+
+@pytest.mark.parametrize("N", [31, 48, 64, 101])
+def test_inverse_of_sparse_values_past_the_strategy(N):
+    # the rank-2 Vandermonde and sine factors schur inverts at order r + k
+    for x in (root_power(N, 1) - root_power(N, 3), 2 - root_power(N, 5) - root_power(N, -5)):
+        assert x * x.inverse() == 1 and x.inverse().inverse() == x
 
 
 def test_two_spellings_have_equal_coefficients():
