@@ -12,17 +12,18 @@ residuals.
 from __future__ import annotations
 
 import functools
+import math
 from itertools import combinations, permutations
 
 from .cyclotomic import CycNum, root_power
-from .weights import lambda_of_point, mu_star, enumerate_Pk, enumerate_Wk
+from .weights import as_int, lambda_of_point, mu_star, enumerate_Pk, enumerate_Wk
 
 _BRUTE_LIMIT = 8
 
 
 def check_v(v, r: int, k: int) -> tuple[int, ...]:
     """Validate a summation vector: strictly decreasing, v_r = 0, v_1 < r + k."""
-    v = tuple(int(x) for x in v)
+    v = tuple(map(as_int, v))
     if len(v) != r:
         raise ValueError("summation vector length must equal the rank")
     if v[-1] != 0:
@@ -122,7 +123,7 @@ def _schur_cached(lam, v, n: int) -> CycNum:
 
 def schur_at(lam, v, r: int, k: int) -> CycNum:
     """Exact S_lam at z_j = zeta_(r+k)**v_j, via the bialternant ratio."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(as_int, lam))
     if len(lam) != r:
         raise ValueError("partition must have exactly r parts (pad with zeros)")
     if any(lam[i] < lam[i + 1] for i in range(r - 1)) or lam[-1] < 0:
@@ -134,7 +135,7 @@ def schur_at(lam, v, r: int, k: int) -> CycNum:
 def schur_brute(lam, v, r: int, k: int) -> CycNum:
     """Independent Schur evaluator: sum one monomial per semistandard
     tableau of shape lam with entries in 1..r."""
-    lam = tuple(int(x) for x in lam)
+    lam = tuple(map(as_int, lam))
     v = check_v(v, r, k)
     if sum(lam) > _BRUTE_LIMIT:
         raise ValueError(f"partition size exceeds the brute-force guard {_BRUTE_LIMIT}")
@@ -182,19 +183,15 @@ def sin_sq(m: int, n: int) -> CycNum:
     return 2 - z - z.conjugate()
 
 
-def _sin_sq_product(v, n: int) -> CycNum:
-    out = CycNum.one(n)
-    for i in range(len(v)):
-        for j in range(i + 1, len(v)):
-            out = out * sin_sq(v[i] - v[j], n)
-    return out
-
-
 def weyl_denominator(v, g: int, r: int, k: int) -> CycNum:
     """Product over pairs of (2 sin)**2 raised to g - 1; the genus-zero case
     returns the inverse of the product, and genus one builds no product."""
     v = check_v(v, r, k)
-    return CycNum.one(r + k) if g == 1 else _sin_sq_product(v, r + k) ** (g - 1)
+    n = r + k
+    if g == 1:
+        return CycNum.one(n)
+    sines = (sin_sq(a - b, n) for a, b in combinations(v, 2))
+    return math.prod(sines, start=CycNum.one(n)) ** (g - 1)
 
 
 # -- orthogonality residuals ----------------------------------------------
@@ -208,7 +205,7 @@ def _dual_pairing_residual(weights, factor: int, v, r: int, k: int) -> CycNum:
     lhs = CycNum.zero(n)
     for mu in weights(r, k):
         lhs = lhs + schur_at(mu, v, r, k) * schur_at(mu_star(mu, k), v, r, k)
-    rhs = root_power(n, k * sum(v)) * (factor * n ** (r - 1)) * _sin_sq_product(v, n).inverse()
+    rhs = root_power(n, k * sum(v)) * (factor * n ** (r - 1)) * weyl_denominator(v, 0, r, k)
     return lhs - rhs
 
 

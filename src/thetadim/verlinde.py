@@ -215,7 +215,6 @@ def dimension(q: VerlindeQuery) -> int:
     return _dimension(q.canonical_key())
 
 
-dimension.cache_info = _dimension.cache_info
 # bound to the cache itself, so they still work after `dimension` is rewrapped
 clear_memo = _dimension.cache_clear
 memo_info = _dimension.cache_info

@@ -8,18 +8,28 @@ partial Hecke move or built from a weight of W_k with mu_1 = k.
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 Weight = tuple[int, ...]
+
+
+def as_int(x) -> int:
+    """x as an int.  Unlike int(), it parses no string and truncates
+    nothing: an integral float such as 1.0 passes, 1.9 is refused."""
+    if isinstance(x, float) and x.is_integer():
+        return int(x)
+    return operator.index(x)
 
 
 class MarkedPoint(namedtuple("MarkedPoint", "label flag weights")):
     __slots__ = ()
 
     def __new__(cls, label: str, flag, weights):
-        return super().__new__(cls, label, tuple(int(n) for n in flag),
-                               tuple(int(a) for a in weights))
+        return super().__new__(cls, label, tuple(map(as_int, flag)),
+                               tuple(map(as_int, weights)))
 
     def validate(self, rank: int, level: int):
         if not self.label:
@@ -114,32 +124,15 @@ def mu_star(mu: Weight, k: int) -> Weight:
 # -- enumeration -----------------------------------------------------------
 
 
-def _bounded_nonincreasing(r: int, top: int):
-    # nonincreasing tuples of length r with entries in [0, top], lexicographic:
-    # the next one raises the last entry below its bound (the entry before
-    # it, or top for the first) and zeroes the entries after it
-    if top < 0:
-        return
-    mu = [0] * r
-    while True:
-        yield tuple(mu)
-        i = r - 1
-        while i >= 0 and mu[i] == (mu[i - 1] if i else top):
-            i -= 1
-        if i < 0:
-            return
-        mu[i] += 1
-        mu[i + 1:] = [0] * (r - 1 - i)
-
-
 def enumerate_Pk(r: int, k: int):
     """Weights with k > mu_1 >= ... >= mu_r >= 0, lexicographic order."""
-    yield from _bounded_nonincreasing(r, k - 1)
+    # drawn from a decreasing pool, each combination is nonincreasing
+    yield from sorted(combinations_with_replacement(range(k - 1, -1, -1), r))
 
 
 def enumerate_Wk(r: int, k: int):
     """Weights with k >= mu_1 >= ... >= mu_r = 0, lexicographic order."""
-    for head in _bounded_nonincreasing(r - 1, k):
+    for head in sorted(combinations_with_replacement(range(k, -1, -1), r - 1)):
         yield head + (0,)
 
 

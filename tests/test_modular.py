@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -376,6 +377,40 @@ def test_witness_mismatch_exits_internal(tmp_path, capsys, monkeypatch):
     assert main(["dim", str(path)]) == 3
     captured = capsys.readouterr()
     assert captured.out == "" and "witness" in captured.err
+
+
+def _lift_to_minus_one(monkeypatch):
+    # M - 1 lifts to -1, which is within the bound and passes the witness
+    monkeypatch.setattr(modular, "residues", lambda key, M, powers: M - 1)
+
+
+def test_negative_lift_raises(monkeypatch):
+    _lift_to_minus_one(monkeypatch)
+    q = query(2, 0, ParabolicData(2, 2))
+    with pytest.raises(EvaluationError, match="negative: -1"):
+        closed_formula_exact(q.canonical_key())
+
+
+def test_negative_lift_exits_internal(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("THETADIM_CACHE", raising=False)
+    path = tmp_path / "q.json"
+    path.write_text(json.dumps({"genus": 2, "rank": 2, "degree": 0,
+                                "level": 2}))
+    _lift_to_minus_one(monkeypatch)
+    assert main(["dim", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == "" and "negative" in captured.err
+
+
+@pytest.mark.parametrize("scale, message", [
+    (Fraction(1, 2), "non-integral: 3/2"), (-1, "negative: -3")])
+def test_oracle_refuses_a_bad_total(monkeypatch, scale, message):
+    q = query(1, 0, ParabolicData(2, 2))          # dimension 3
+    real = verlinde.closed_term
+    monkeypatch.setattr(verlinde, "closed_term",
+                        lambda q, v: real(q, v) * scale)
+    with pytest.raises(EvaluationError, match=message):
+        closed_formula_cyclotomic(q)
 
 
 def test_verify_backend_catches_exact_path_off_the_oracle(monkeypatch):

@@ -5,7 +5,7 @@ from thetadim.schur import (alternant_counts, check_v, identity_52_check,
                             identity_53_check, identity_54_check, schur_at,
                             schur_brute, sin_sq, weyl_denominator)
 from thetadim.verlinde import v_vectors
-from thetadim.weights import enumerate_Pk, mu_star
+from thetadim.weights import MarkedPoint, enumerate_Pk, mu_star
 
 
 def test_check_v():
@@ -74,6 +74,23 @@ def test_schur_validates_input():
         schur_at((1, 0), (1, 1), 2, 1)
     with pytest.raises(ValueError):
         schur_at((0, 1), (1, 0), 2, 1)     # weight must be nonincreasing
+
+
+@pytest.mark.parametrize("build", [
+    lambda: MarkedPoint("p", (1, 1), (0, 1.9)),
+    lambda: MarkedPoint("p", ("1", "1"), ("0", "1")),
+    lambda: check_v((2.7, 0), 2, 2),
+    lambda: check_v(("1", "0"), 2, 2),
+    lambda: schur_at((1.5, 0), (1, 0), 2, 2),
+    lambda: schur_at((1, 0), (1.5, 0), 2, 2),
+    lambda: schur_brute((1.5, 0), (1, 0), 2, 2),
+    lambda: schur_brute((1, 0), ("1", "0"), 2, 2),
+], ids=["point-float", "point-str", "v-float", "v-str", "schur-lam",
+        "schur-v", "brute-lam", "brute-v"])
+def test_non_integer_inputs_are_refused(build):
+    # int() would truncate 1.9 to 1 or parse "1", answering another query
+    with pytest.raises(TypeError):
+        build()
 
 
 # -- identities of single evaluations --------------------------------------

@@ -15,12 +15,13 @@ from thetadim.cli import (_grid_queries, _random_point, _split_cases,
                           query_to_document)
 from thetadim.cyclotomic import CycNum, root_power
 from thetadim.schur import alternant_counts, v_orbits, weyl_denominator
-from thetadim.verlinde import (VerifyReport, VerlindeQuery, clear_memo,
-                               closed_formula_cyclotomic, closed_formula_exact,
-                               closed_formula_float, closed_term, dimension,
+from thetadim.verlinde import (EvaluationError, VerifyReport, VerlindeQuery,
+                               clear_memo, closed_formula_cyclotomic,
+                               closed_formula_exact, closed_formula_float,
+                               closed_term, dimension,
                                genus_recurrence_rhs, hecke_image,
                                iter_split_terms, iter_wprime_terms,
-                               legal_hecke_multiplicities, query,
+                               legal_hecke_multiplicities, memo_info, query,
                                split_recurrence_rhs, v_vectors, verify,
                                wprime_recurrence_rhs)
 from thetadim.weights import (MarkedPoint, ParabolicData, build_split_omegas,
@@ -614,23 +615,23 @@ def test_dimension_memoizes():
     rebuilt, _ = document_to_query(query_to_document(q))
     assert rebuilt is not q
     assert dimension(rebuilt) == first
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     # the same query at another degree is another key
     dimension(query(1, 1, q.omega))
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
     clear_memo()
-    assert dimension.cache_info().currsize == 0
+    assert memo_info().currsize == 0
 
 
 def test_genus_one_builds_no_sine_product(monkeypatch):
     # at genus one the sine product is raised to the power 0; the exact
     # backend, which builds none, checks the oracle's value
-    real, built = schur._sin_sq_product, []
-    monkeypatch.setattr(schur, "_sin_sq_product",
-                        lambda v, n: built.append(v) or real(v, n))
-    for g, count in ((1, 0), (2, 6)):
+    real, built = schur.sin_sq, []
+    monkeypatch.setattr(schur, "sin_sq",
+                        lambda m, n: built.append(m) or real(m, n))
+    for g, count in ((1, 0), (2, 18)):
         q = query(g, 1, ParabolicData(3, 2, (pt("p", (2, 1), (0, 1)),)))
         verlinde._weyl_inverse_promoted.cache_clear()
         built.clear()
@@ -698,7 +699,7 @@ def test_equal_queries_share_a_dimension_memo_entry():
     assert a is not b and a == b and hash(a) == hash(b)
     value = dimension(a)
     assert dimension(b) == value
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses) == (1, 1)
     # the one key, which the disk cache files its records under as JSON:
     # the point's partition lam - lam_r, (a_last - a_i) n_i times
@@ -714,19 +715,19 @@ def test_relabeled_and_reordered_points_share_a_dimension_memo_entry():
     assert renamed != first
     value = dimension(first)
     assert dimension(renamed) == value
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
     # every weight of a point shifted by one is the same entry (the column
     # lemma of thetadim.modular)
     shifted = query(1, 0, ParabolicData(3, 2, (p._replace(weights=(1, 2)),
                                                x._replace(weights=(2,)))))
     assert dimension(shifted) == value
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
     # one changed jump is another entry
     moved = query(1, 0, ParabolicData(3, 2, (p._replace(weights=(0, 2)), x)))
     dimension(moved)
-    info = dimension.cache_info()
+    info = memo_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
 
@@ -758,13 +759,14 @@ def test_closed_sum_never_sees_a_one_block_point(monkeypatch):
 
 
 @st.composite
-def _queries(draw):
-    """Rank <= 3, level <= 4, genus <= 2, any degree from -r to 2r, and 0-3
-    points, among them one-block points and repeats of an earlier point."""
+def _queries(draw, max_genus=2, max_points=3):
+    """Rank <= 3, level <= 4, genus <= max_genus, any degree from -r to 2r,
+    and up to max_points points, among them one-block points and repeats
+    of an earlier point."""
     r, k = draw(st.integers(1, 3)), draw(st.integers(1, 4))
-    g, d = draw(st.integers(0, 2)), draw(st.integers(-r, 2 * r))
+    g, d = draw(st.integers(0, max_genus)), draw(st.integers(-r, 2 * r))
     specs = []
-    for _ in range(draw(st.integers(0, 3))):
+    for _ in range(draw(st.integers(0, max_points))):
         if specs and draw(st.booleans()):
             specs.append(draw(st.sampled_from(specs)))
             continue
@@ -777,6 +779,19 @@ def _queries(draw):
         specs.append((flag, weights))
     return query(g, d, ParabolicData(r, k, [
         pt(f"p{i}", f, w) for i, (f, w) in enumerate(specs)]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(q=_queries(max_genus=3, max_points=2))
+def test_float_stays_within_its_proven_bound(q):
+    # a refusal is allowed; a value must be exact, rounded from a sum no
+    # farther from it than the bound the float path returns
+    try:
+        value, residual, error = closed_formula_float(q)
+    except EvaluationError:
+        return
+    assert value == dimension(q)
+    assert residual <= error
 
 
 @settings(max_examples=80, deadline=None)
